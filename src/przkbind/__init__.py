@@ -5,7 +5,6 @@ from .groups import (
     Element,
     Group,
     GroupError,
-    GroupParams,
     get_group,
     hash_h1_bytes,
     hash_h2,
@@ -54,6 +53,7 @@ from .protocol import (
     extract_secret,
     fiat_shamir_prove,
     fiat_shamir_verify,
+    pump,
     run_interactive_session,
     schnorr_response,
     schnorr_verify,
@@ -75,7 +75,6 @@ from .simulator import (
     SessionMetrics,
     SimulationError,
     energy_proxy,
-    far,
     run_campaign,
     run_session,
 )

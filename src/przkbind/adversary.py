@@ -14,7 +14,6 @@ public keys, zeta), plus the stolen twin key in the KCI case.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional
@@ -23,8 +22,10 @@ from .groups import Element, Group, scalar_random, scalar_random_nonzero
 from .protocol import (
     Challenge,
     Commit,
+    EXCHANGE,
     EntitySession,
     IdentityProof,
+    Message,
     OpCounts,
     Phase,
     Response,
@@ -32,6 +33,7 @@ from .protocol import (
     TwinSession,
     Verdict,
     encode_message,
+    pump,
 )
 
 
@@ -149,7 +151,7 @@ def attack_kci(ctx: AttackContext, rng, target: TwinSession) -> AttackOutcome:
 # -- MITM tampering -----------------------------------------------------------
 
 # The would-be honest session carries these five in-flight messages.
-MITM_SLOTS = ("commit", "challenge", "response", "identity_proof", "verdict")
+MITM_SLOTS = EXCHANGE
 
 # Fields whose verification binds them; flips elsewhere (the ephemeral
 # share, the closing verdict) are disruption, not credential forgery.
@@ -199,35 +201,19 @@ def attack_mitm_tamper(
     tampered = False
     messages = 0
 
-    def slot_of(msg) -> str:
-        if isinstance(msg, Commit):
-            return "commit"
-        if isinstance(msg, Challenge):
-            return "challenge"
-        if isinstance(msg, Response):
-            return "response"
-        if isinstance(msg, IdentityProof):
-            return "identity_proof"
-        return "verdict"
-
-    def hop(recipient, msg, name: str) -> List:
+    def hop(recipient, msg) -> List[Message]:
         nonlocal messages, tampered_bit, tampered
-        if name != "verdict":
+        if msg.label != "verdict":
             messages += 1  # verdicts deliver with zero injected delay
         raw = encode_message(group, msg)
-        if name == slot_name and not tampered:
+        if msg.label == slot_name and not tampered:
             if tampered_bit is None:
                 tampered_bit = rng.randrange(len(raw) * 8)
             raw = _flip_bit(raw, tampered_bit)
             tampered = True
         return recipient.receive_bytes(raw)
 
-    queue = deque([(twin, twin.commit())])
-    while queue:
-        emitter, msg = queue.popleft()
-        recipient = entity if emitter is twin else twin
-        for reply in hop(recipient, msg, slot_of(msg)):
-            queue.append((recipient, reply))
+    pump(entity, twin, hop)
 
     verifier = entity if slot_name in ("commit", "challenge", "response") else twin
     accepted = (

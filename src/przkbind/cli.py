@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import stat
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -28,9 +28,11 @@ from .identity import (
 from .protocol import (
     EntitySession,
     ProtocolError,
+    Transcript,
     TwinSession,
     fiat_shamir_prove,
     fiat_shamir_verify,
+    pump,
 )
 from .registration import (
     RegistrationError,
@@ -43,9 +45,11 @@ from .simulator import (
     HONEST,
     KIND_ORDER,
     CampaignConfig,
+    CampaignReport,
     ConfigError,
     SessionMetrics,
     SimulationError,
+    _spawn_rng,
     compute_aggregates,
     run_campaign,
 )
@@ -55,13 +59,6 @@ CONFIG_ENV_VAR = "PRZKBIND_CONFIG"
 
 class IntegrityFailure(Exception):
     """A verification step or stored-aggregate cross-check failed."""
-
-
-def _seeded_rng(seed: str, label: str) -> random.Random:
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}/{label}".encode("utf-8")).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
 
 
 def _write_json(path: Path, obj: dict, secret: bool = False) -> None:
@@ -90,7 +87,7 @@ def keygen(seed: str, group_id: str, out_dir: Path) -> None:
     group = get_group(group_id)
     identity = provision_identity(seed)
     keys = derive_entity_keys(identity, group)
-    twin = twin_keygen(group, _seeded_rng(seed, "twin-keygen"))
+    twin = twin_keygen(group, _spawn_rng(seed, "twin-keygen"))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     gid = group.group_id
@@ -127,9 +124,7 @@ def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: i
     pk_p = group.decode(bytes.fromhex(entity_obj["pk_p"]))
     pk_d = group.decode(bytes.fromhex(twin_obj["pk_d"]))
     if timestamp is None:
-        import time as _time
-
-        timestamp = int(_time.time())
+        timestamp = int(time.time())
     if registry_path.exists():
         registry = load_registry(group, registry_path)
     else:
@@ -164,7 +159,7 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
         raise IntegrityFailure("no binding record for this key pair in the registry")
 
     if fiat_shamir:
-        alpha, z = fiat_shamir_prove(group, twin.sk_d, record.zeta, twin.pk_d, _seeded_rng(seed, "fs"))
+        alpha, z = fiat_shamir_prove(group, twin.sk_d, record.zeta, twin.pk_d, _spawn_rng(seed, "fs"))
         ok = fiat_shamir_verify(group, twin.pk_d, record.zeta, alpha, z)
         click.echo(f"proof alpha={group.encode(alpha).hex()}")
         click.echo(f"proof z={group.encode_scalar(z).hex()}")
@@ -173,35 +168,19 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
             raise IntegrityFailure("non-interactive proof rejected")
         return
 
-    p = EntitySession(group, keys, record, _seeded_rng(seed, "entity"))
-    d = TwinSession(group, twin, record, _seeded_rng(seed, "twin"))
-
-    from collections import deque
-
-    from .protocol import Transcript
+    p = EntitySession(group, keys, record, _spawn_rng(seed, "entity"))
+    d = TwinSession(group, twin, record, _spawn_rng(seed, "twin"))
 
     transcript = Transcript()
-    first = d.commit()
-    click.echo(f"D: -> commit            phase={d.phase.value}")
-    transcript.note(first, 0.0)
-    queue = deque([(p, first)])
-    labels = {
-        "commit": "commit",
-        "challenge": "challenge",
-        "response": "response",
-        "identity_proof": "identity proof",
-        "verdict": "verdict",
-    }
-    while queue:
-        recipient, msg = queue.popleft()
-        replies = recipient.receive(msg)
-        who = "P" if recipient is p else "D"
-        peer = d if recipient is p else p
-        for reply in replies:
-            transcript.note(reply, 0.0)
-            label = labels[transcript.timestamps[-1][0]]
-            click.echo(f"{who}: -> {label:<17} phase={recipient.phase.value}")
-            queue.append((peer, reply))
+
+    def hop(recipient, msg):
+        who, sender = ("D", d) if recipient is p else ("P", p)
+        label = msg.label.replace("_", " ")
+        click.echo(f"{who}: -> {label:<17} phase={sender.phase.value}")
+        transcript.note(msg, 0.0)
+        return recipient.receive(msg)
+
+    pump(p, d, hop)
     click.echo(f"P terminal phase: {p.phase.value}")
     click.echo(f"D terminal phase: {d.phase.value}")
     click.echo(transcript.to_json(group))
@@ -252,8 +231,7 @@ def _parse_mix(value: str) -> dict:
 @click.option("--group", "group_id", default=None)
 @click.option("--mix", default=None, help="Adversary mix, e.g. 'replay=1,mitm_tamper=2'.")
 @click.option("--out", "out_prefix", default="report", show_default=True)
-@click.option("--parallel", type=int, default=1, show_default=True)
-def simulate(config_path, sessions, adv_ratio, latency, seed, group_id, mix, out_prefix, parallel):
+def simulate(config_path, sessions, adv_ratio, latency, seed, group_id, mix, out_prefix):
     """Run a session campaign and write JSON and CSV reports."""
     base: dict = {}
     if config_path is None:
@@ -277,10 +255,7 @@ def simulate(config_path, sessions, adv_ratio, latency, seed, group_id, mix, out
     if "sessions" not in base:
         raise click.UsageError("a session count is required (--sessions or config file)")
     config = CampaignConfig.from_dict(base)
-    if parallel < 1:
-        raise click.UsageError("--parallel must be >= 1")
-
-    report = run_campaign(config, workers=parallel)
+    report = run_campaign(config)
 
     json_path = Path(f"{out_prefix}.json")
     csv_path = Path(f"{out_prefix}.csv")
@@ -334,14 +309,9 @@ def report(in_path: Path, fmt: str) -> None:
         if stored[metric] != value:
             raise IntegrityFailure(f"aggregate mismatch: {metric}")
 
-    if fmt == "json":
-        from .simulator import CampaignReport
-
-        click.echo(CampaignReport(config, metrics, recomputed).to_json(), nl=False)
-    elif fmt == "csv":
-        from .simulator import CampaignReport
-
-        click.echo(CampaignReport(config, metrics, recomputed).to_csv(), nl=False)
+    if fmt in ("json", "csv"):
+        rebuilt = CampaignReport(config, metrics, recomputed)
+        click.echo(rebuilt.to_json() if fmt == "json" else rebuilt.to_csv(), nl=False)
     else:
         click.echo(f"{'kind':<26}{'sessions':>10}{'accepted':>10}{'rate':>10}")
         for kind in (HONEST, *KIND_ORDER):

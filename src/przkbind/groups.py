@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from typing import Iterable, Tuple, Union
 
 Element = Union[int, Tuple[int, int], None]
@@ -36,13 +35,6 @@ _H2_TAG = b"\x02"
 
 class GroupError(ValueError):
     """Invalid group element, encoding, or scalar."""
-
-
-@dataclass(frozen=True)
-class GroupParams:
-    group_id: str
-    q: int
-    generator: bytes  # canonical encoding of g
 
 
 def _tagged(tag: bytes, fields: Iterable[bytes]) -> bytes:
@@ -115,9 +107,6 @@ class ToyGroup:
     scalar_size = 4
 
     _members = frozenset(pow(2, k, 23) for k in range(11))
-
-    def params(self) -> GroupParams:
-        return GroupParams(self.group_id, self.q, self.encode(self.g))
 
     def is_member(self, x: Element) -> bool:
         return isinstance(x, int) and x in self._members
@@ -245,9 +234,6 @@ class P256Group:
     def __init__(self):
         self._combs = {}
         self._base_uses = {}
-
-    def params(self) -> GroupParams:
-        return GroupParams(self.group_id, self.q, self.encode(self.g))
 
     def is_member(self, x: Element) -> bool:
         if x is None:
@@ -408,14 +394,13 @@ _P256 = P256Group()
 _GROUPS = {
     "toy": _TOY,
     "p256": _P256,
-    "production": _P256,
 }
 
 Group = Union[ToyGroup, P256Group]
 
 
 def get_group(group_id: str) -> Group:
-    """Look up a group backend by id ("toy", "p256"; "production" = p256)."""
+    """Look up a group backend by id: "toy" or "p256"."""
     try:
         return _GROUPS[group_id.lower()]
     except KeyError:

@@ -26,7 +26,6 @@ _PROVISION_TAG = b"identity-provision-v1"
 
 class IdentitySource(Enum):
     SIMULATED_PUF = "simulated_puf"
-    FIXED = "fixed"
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,12 @@ P accepts the twin iff g^z == alpha * pk_d^c; D accepts the entity iff
 g^h_sp == pk_p. Both sides then derive the same session key from the
 static-ephemeral shared point (pk_p * R_p)^{sk_d} == pk_d^{h_sp + r_p}
 hashed together with zeta. Keys are derived silently; the closing
-verdict is a notification, not a key-confirmation round.
+verdict is a notification, not a key-confirmation round. A reject
+verdict still fails a party that already derived its key and erases
+that key, so no party keeps a key its peer rejected.
+
+One function, ``pump``, moves every session's messages between the two
+parties; callers observe or alter the traffic through its ``hop``.
 
 The challenge hashes a fresh 32-byte session nonce along with alpha and
 zeta, so a replayed (alpha, z) meets a different challenge in every new
@@ -27,10 +32,9 @@ from __future__ import annotations
 
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple, Union
+from typing import Callable, ClassVar, List, Optional, Tuple, Union
 
 from .groups import (
     Element,
@@ -99,32 +103,40 @@ class VerificationFailure(ProtocolError):
 
 @dataclass(frozen=True)
 class Commit:
+    label: ClassVar[str] = "commit"
     alpha: Element
 
 
 @dataclass(frozen=True)
 class Challenge:
+    label: ClassVar[str] = "challenge"
     c: int
 
 
 @dataclass(frozen=True)
 class Response:
+    label: ClassVar[str] = "response"
     z: int
 
 
 @dataclass(frozen=True)
 class IdentityProof:
+    label: ClassVar[str] = "identity_proof"
     h_sp: int
     r_p_pub: Element
 
 
 @dataclass(frozen=True)
 class Verdict:
+    label: ClassVar[str] = "verdict"
     accept: bool
     reason: Optional[Reason] = None
 
 
 Message = Union[Commit, Challenge, Response, IdentityProof, Verdict]
+
+# The labels of an honest session's messages, in the order they travel.
+EXCHANGE = tuple(m.label for m in (Commit, Challenge, Response, IdentityProof, Verdict))
 
 
 @dataclass(frozen=True)
@@ -142,13 +154,6 @@ class OpCounts:
 
     def as_dict(self) -> dict:
         return {"group_exp": self.group_exp, "group_mul": self.group_mul, "hash": self.hash}
-
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.group_exp + other.group_exp,
-            self.group_mul + other.group_mul,
-            self.hash + other.hash,
-        )
 
 
 # -- wire format ----------------------------------------------------------
@@ -284,21 +289,11 @@ class Transcript:
     timestamps: List[Tuple[str, float]] = field(default_factory=list)
 
     def note(self, msg: Message, at_ms: float) -> None:
-        if isinstance(msg, Commit):
-            label, values = "commit", {"alpha": msg.alpha}
-        elif isinstance(msg, Challenge):
-            label, values = "challenge", {"c": msg.c}
-        elif isinstance(msg, Response):
-            label, values = "response", {"z": msg.z}
-        elif isinstance(msg, IdentityProof):
-            label, values = "identity_proof", {"h_sp": msg.h_sp, "r_p_pub": msg.r_p_pub}
-        elif isinstance(msg, Verdict):
-            label, values = "verdict", {"verdict": msg}
-        else:
-            raise TypeError(f"not a protocol message: {type(msg).__name__}")
-        for attr, value in values.items():
-            setattr(self, attr, value)
-        self.timestamps.append((label, at_ms))
+        if msg.label == "verdict":
+            self.verdict = msg
+        else:  # every other message's fields are transcript fields of the same name
+            vars(self).update(vars(msg))
+        self.timestamps.append((msg.label, at_ms))
 
     def to_dict(self, group: Group) -> dict:
         def enc(x):
@@ -354,6 +349,7 @@ class _Session:
     def _fail(self, reason: Reason) -> None:
         self.phase = Phase.FAILED
         self.failure = reason
+        self._key = None
         self._erase()
 
     def timeout(self) -> None:
@@ -371,14 +367,16 @@ class _Session:
         """Feed one message; returns this party's replies.
 
         Failed sessions accept no further input; established sessions
-        only record a late verdict. Unexpected message types fail the
-        session with an out-of-order verdict.
+        only record a late verdict. A reject verdict fails the session,
+        erasing a key already derived, since the peer holds none.
+        Unexpected message types fail the session with an out-of-order
+        verdict.
         """
         if self.phase is Phase.FAILED:
             return []
         if isinstance(msg, Verdict):
             self.peer_verdict = msg
-            if not msg.accept and not self.phase.terminal:
+            if not msg.accept:
                 self._fail(msg.reason or Reason.OUT_OF_ORDER)
             return []
         if self.phase is Phase.KEY_ESTABLISHED:
@@ -596,20 +594,42 @@ class TwinSession(_Session):
         return Reason.OUT_OF_ORDER
 
 
+def deliver(recipient: _Session, msg: Message) -> List[Message]:
+    """The plain hop: hand the message to its recipient."""
+    return recipient.receive(msg)
+
+
+def pump(
+    entity: EntitySession,
+    twin: TwinSession,
+    hop: Callable[[_Session, Message], List[Message]] = deliver,
+) -> None:
+    """Run one session: open with ``twin.commit()``, then hand each message
+    and its recipient to ``hop``, which returns the recipient's replies,
+    until a recipient has none. A party replies to a message with at most
+    one message, so the two alternate. A hop may observe, delay or alter
+    a message; the default one just delivers it.
+    """
+    msg: Message = twin.commit()
+    recipient, peer = entity, twin
+    while True:
+        replies = hop(recipient, msg)
+        if not replies:
+            return
+        (msg,) = replies
+        recipient, peer = peer, recipient
+
+
 def run_interactive_session(entity: EntitySession, twin: TwinSession) -> Transcript:
     """Drive one in-memory session to a terminal state; returns the
     eavesdropper's transcript (zero virtual latency)."""
     transcript = Transcript()
-    first = twin.commit()
-    transcript.note(first, 0.0)
-    queue = deque([(entity, first)])
-    while queue:
-        recipient, msg = queue.popleft()
-        replies = recipient.receive(msg)
-        peer = twin if recipient is entity else entity
-        for reply in replies:
-            transcript.note(reply, 0.0)
-            queue.append((peer, reply))
+
+    def hop(recipient: _Session, msg: Message) -> List[Message]:
+        transcript.note(msg, 0.0)
+        return recipient.receive(msg)
+
+    pump(entity, twin, hop)
     return transcript
 
 

@@ -63,9 +63,8 @@ def verify_record(group: Group, rec: BindingRecord) -> bool:
 class Registry:
     """In-memory set of binding records, one per (pk_p, pk_d) pair."""
 
-    def __init__(self, group: Group, storage_path: Optional[Path] = None):
+    def __init__(self, group: Group):
         self.group = group
-        self.storage_path = storage_path
         self._records: Dict[Tuple[bytes, bytes], BindingRecord] = {}
 
     def __len__(self) -> int:
@@ -94,7 +93,7 @@ class Registry:
     def add(self, rec: BindingRecord) -> None:
         """Insert an already-minted record (used by load); validates it."""
         if not verify_record(self.group, rec):
-            raise RegistryIOError("record fails zeta recomputation")
+            raise RegistryIOError("zeta does not match its fields")
         key = (self.group.encode(rec.pk_p), self.group.encode(rec.pk_d))
         if key in self._records:
             raise RegistrationError("already bound")
@@ -114,17 +113,25 @@ def _record_to_json(group: Group, rec: BindingRecord) -> str:
 
 def _record_from_json(group: Group, line: str) -> BindingRecord:
     obj = json.loads(line)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
     missing = {"pk_p", "pk_d", "t", "zeta"} - obj.keys()
     if missing:
         raise ValueError(f"missing keys: {sorted(missing)}")
     t = obj["t"]
     if not isinstance(t, int):
         raise ValueError("t must be an integer")
+
+    def unhex(key: str) -> bytes:
+        if not isinstance(obj[key], str):
+            raise ValueError(f"{key} must be a hex string")
+        return bytes.fromhex(obj[key])
+
     return BindingRecord(
-        pk_p=group.decode(bytes.fromhex(obj["pk_p"])),
-        pk_d=group.decode(bytes.fromhex(obj["pk_d"])),
+        pk_p=group.decode(unhex("pk_p")),
+        pk_d=group.decode(unhex("pk_d")),
         t=t,
-        zeta=bytes.fromhex(obj["zeta"]),
+        zeta=unhex("zeta"),
     )
 
 
@@ -132,22 +139,17 @@ def save_registry(registry: Registry, path: Union[str, Path]) -> None:
     path = Path(path)
     lines = [_record_to_json(registry.group, rec) for rec in registry]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-    registry.storage_path = path
 
 
 def load_registry(group: Group, path: Union[str, Path]) -> Registry:
     """Load and validate a registry; names the offending record on error."""
-    path = Path(path)
-    registry = Registry(group, storage_path=path)
+    registry = Registry(group)
     with open(path, "r", encoding="utf-8") as fh:
         for index, line in enumerate(fh):
             if not line.strip():
                 continue
             try:
-                rec = _record_from_json(group, line)
+                registry.add(_record_from_json(group, line))
             except (ValueError, GroupError) as exc:
                 raise RegistryIOError(f"record {index}: {exc}") from exc
-            if not verify_record(group, rec):
-                raise RegistryIOError(f"record {index}: zeta does not match its fields")
-            registry.add(rec)
     return registry

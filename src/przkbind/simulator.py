@@ -8,7 +8,7 @@ and operation-count/energy metrics into a report.
 
 Determinism: every source of randomness is derived from the campaign
 seed and the session index, so identical configs produce byte-identical
-reports, serial or parallel.
+reports.
 """
 
 from __future__ import annotations
@@ -19,10 +19,9 @@ import io
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .adversary import (
     AdversaryKind,
@@ -35,15 +34,14 @@ from .adversary import (
 from .groups import Group, get_group
 from .identity import EntityKeys, TwinKeyPair, derive_entity_keys, provision_identity, twin_keygen
 from .protocol import (
-    Challenge,
+    EXCHANGE,
     EntitySession,
-    IdentityProof,
+    Message,
     OpCounts,
     Phase,
-    Response,
     Transcript,
     TwinSession,
-    Verdict,
+    pump,
     run_interactive_session,
 )
 from .registration import BindingRecord, Registry
@@ -95,13 +93,13 @@ class CampaignConfig:
         unknown = set(self.adversary_mix) - set(KIND_ORDER)
         if unknown:
             raise ConfigError("adversary_mix", f"unknown adversary kinds: {sorted(unknown)}")
-        if any(w < 0 for w in self.adversary_mix.values()):
-            raise ConfigError("adversary_mix", "weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.adversary_mix.values()):
+            raise ConfigError("adversary_mix", "weights must be finite and nonnegative")
         if self.adv_ratio > 0 and not any(self.adversary_mix.values()):
             raise ConfigError("adversary_mix", "needs a positive weight when adv_ratio > 0")
         low, high = self.latency_range_ms
-        if low < 0 or high < low:
-            raise ConfigError("latency_range_ms", "requires 0 <= low <= high")
+        if not (math.isfinite(high) and 0 <= low <= high):
+            raise ConfigError("latency_range_ms", "requires finite 0 <= low <= high")
         try:
             get_group(self.group_id)
         except Exception:
@@ -110,8 +108,8 @@ class CampaignConfig:
             raise ConfigError(
                 "energy_weights", f"must provide exactly {sorted(DEFAULT_ENERGY_WEIGHTS)}"
             )
-        if any(w < 0 for w in self.energy_weights.values()):
-            raise ConfigError("energy_weights", "weights must be nonnegative")
+        if not all(math.isfinite(w) and w >= 0 for w in self.energy_weights.values()):
+            raise ConfigError("energy_weights", "weights must be finite and nonnegative")
         if not isinstance(self.rng_seed, int):
             raise ConfigError("rng_seed", "must be an integer")
 
@@ -130,16 +128,7 @@ class CampaignConfig:
     def from_dict(cls, obj: dict) -> "CampaignConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config", "must be a JSON object")
-        known = {
-            "sessions",
-            "adv_ratio",
-            "adversary_mix",
-            "latency_range_ms",
-            "group_id",
-            "rng_seed",
-            "energy_weights",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown config field")
         if "sessions" not in obj:
@@ -283,7 +272,7 @@ class CampaignEnv:
     kci_ctx: AttackContext
 
 
-def _spawn_rng(seed: int, label: str) -> random.Random:
+def _spawn_rng(seed: Union[int, str], label: str) -> random.Random:
     digest = hashlib.sha256(f"{seed}/{label}".encode("utf-8")).digest()
     return random.Random(int.from_bytes(digest[:16], "big"))
 
@@ -352,33 +341,25 @@ def allocate_kinds(
     return kinds
 
 
-def _latency_sum(rng: random.Random, low: float, high: float, messages: int) -> float:
-    return sum(rng.uniform(low, high) for _ in range(messages))
-
-
 def _run_honest(env: CampaignEnv, rng: random.Random, low: float, high: float) -> dict:
     p = EntitySession(env.group, env.entity_keys, env.record, rng)
     d = TwinSession(env.group, env.twin, env.record, rng)
     clock = 0.0
+    due = iter(EXCHANGE)
 
-    msg = d.commit()
-    clock += rng.uniform(low, high)
-    replies = p.receive(msg)
-    if len(replies) != 1 or not isinstance(replies[0], Challenge):
-        raise SimulationError("honest session derailed at challenge")
-    clock += rng.uniform(low, high)
-    replies = d.receive(replies[0])
-    if len(replies) != 1 or not isinstance(replies[0], Response):
-        raise SimulationError("honest session derailed at response")
-    clock += rng.uniform(low, high)
-    replies = p.receive(replies[0])
-    if len(replies) != 1 or not isinstance(replies[0], IdentityProof):
-        raise SimulationError("honest session derailed at identity proof")
-    clock += rng.uniform(low, high)
-    replies = d.receive(replies[0])
-    if len(replies) != 1 or not isinstance(replies[0], Verdict):
-        raise SimulationError("honest session derailed at closing verdict")
-    p.receive(replies[0])  # closing verdict: zero injected delay
+    def hop(recipient, msg: Message) -> List[Message]:
+        nonlocal clock
+        expected = next(due, None)
+        if msg.label != expected:
+            raise SimulationError(f"honest session derailed: {msg.label} where {expected} was due")
+        if expected != "verdict":  # the closing verdict has zero injected delay
+            clock += rng.uniform(low, high)
+        return recipient.receive(msg)
+
+    pump(p, d, hop)
+    missing = next(due, None)
+    if missing is not None:
+        raise SimulationError(f"honest session derailed: it ended before the {missing}")
 
     established = p.phase is Phase.KEY_ESTABLISHED and d.phase is Phase.KEY_ESTABLISHED
     agree = established and p.session_key.k_pd == d.session_key.k_pd
@@ -416,7 +397,7 @@ def _run_adversarial(
         ops_p, ops_d = p.ops, d.ops
     else:
         raise SimulationError(f"unknown session kind: {kind!r}")
-    clock = _latency_sum(rng, low, high, outcome.messages)
+    clock = sum(rng.uniform(low, high) for _ in range(outcome.messages))
     return {
         "accepted": outcome.verdict.accept,
         "auth_latency_ms": clock,
@@ -429,44 +410,31 @@ def _run_adversarial(
 
 
 def run_session(
-    config: CampaignConfig,
-    kind: str,
-    rng: random.Random,
-    env: Optional[CampaignEnv] = None,
-    index: int = 0,
+    config: CampaignConfig, kind: str, rng: random.Random, env: CampaignEnv, index: int = 0
 ) -> SessionMetrics:
     """Run one session of the given kind on the virtual clock."""
-    if env is None:
-        env = build_env(config)
     low, high = config.latency_range_ms
     if kind == HONEST:
-        fields = _run_honest(env, rng, low, high)
+        result = _run_honest(env, rng, low, high)
     else:
-        fields = _run_adversarial(env, kind, rng, low, high)
-    return SessionMetrics(index=index, kind=kind, **fields)
+        result = _run_adversarial(env, kind, rng, low, high)
+    return SessionMetrics(index=index, kind=kind, **result)
 
 
-def run_campaign(config: CampaignConfig, workers: int = 1) -> CampaignReport:
-    """Run the full campaign; deterministic for a fixed config, and
-    identical whether sessions execute serially or in parallel."""
+def run_campaign(config: CampaignConfig) -> CampaignReport:
+    """Run the full campaign; deterministic for a fixed config."""
     config.validate()
     env = build_env(config)
     kinds = allocate_kinds(
         config.sessions, config.adv_ratio, config.adversary_mix, _spawn_rng(config.rng_seed, "alloc")
     )
-
-    def one(index: int) -> SessionMetrics:
+    metrics = []
+    for index, kind in enumerate(kinds):
         rng = _spawn_rng(config.rng_seed, f"session/{index}")
         try:
-            return run_session(config, kinds[index], rng, env, index)
+            metrics.append(run_session(config, kind, rng, env, index))
         except Exception as exc:
-            raise SimulationError(f"session {index} ({kinds[index]}): {exc}") from exc
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            metrics = list(pool.map(one, range(config.sessions)))
-    else:
-        metrics = [one(i) for i in range(config.sessions)]
+            raise SimulationError(f"session {index} ({kind}): {exc}") from exc
 
     aggregates = compute_aggregates(metrics, config.energy_weights)
     return CampaignReport(config=config, sessions=metrics, aggregates=aggregates)
@@ -480,14 +448,6 @@ def energy_proxy(op_totals: Dict[str, int], weights: Dict[str, float]) -> float:
     if any(w < 0 for w in weights.values()):
         raise ValueError("energy weights must be nonnegative")
     return float(sum(op_totals.get(op, 0) * w for op, w in weights.items()))
-
-
-def far(report: CampaignReport) -> Optional[float]:
-    """False acceptance rate: accepted adversarial / attempted adversarial."""
-    adversarial = [m for m in report.sessions if m.kind != HONEST]
-    if not adversarial:
-        return None
-    return sum(m.accepted for m in adversarial) / len(adversarial)
 
 
 def _p95(values: List[float]) -> Optional[float]:

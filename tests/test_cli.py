@@ -150,6 +150,24 @@ class TestAuthenticate:
         assert code == 3
         assert "record 0" in err
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "non-string zeta"])
+    def test_malformed_registry_line_is_integrity_failure(self, run, keyfiles, line):
+        path = keyfiles / "registry.ndjson"
+        if line == "non-string zeta":
+            obj = json.loads(path.read_text().splitlines()[0])
+            obj["zeta"] = 5
+            line = json.dumps(obj)
+        path.write_text(line + "\n")
+        code, _, err = run(
+            "authenticate",
+            "--entity-key", "keys/entity.key.json",
+            "--twin-key", "keys/twin.key.json",
+            "--registry", "registry.ndjson",
+        )
+        assert code == 3
+        assert "record 0" in err
+        assert "Traceback" not in err
+
     def test_unregistered_pair_is_integrity_failure(self, run, keyfiles):
         run("keygen", "--seed", "stranger", "--group", "toy", "--out", "s")
         code, _, err = run(
@@ -179,11 +197,9 @@ class TestSimulate:
                 "--latency", "10:20", "--seed", "9", "--group", "toy"]
         assert run(*args, "--out", "r1")[0] == 0
         assert run(*args, "--out", "r2")[0] == 0
-        assert run(*args, "--out", "r3", "--parallel", "4")[0] == 0
         b1 = (tmp_path / "r1.json").read_bytes()
         assert b1 == (tmp_path / "r2.json").read_bytes()
-        assert b1 == (tmp_path / "r3.json").read_bytes()
-        assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r3.csv").read_bytes()
+        assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
     def test_single_honest_session(self, run, tmp_path):
         code, out, _ = run("simulate", "--sessions", "1", "--adv-ratio", "0",
@@ -198,6 +214,30 @@ class TestSimulate:
         code, _, err = run("simulate", "--sessions", "10", "--adv-ratio", "1.5", "--group", "toy")
         assert code == 1
         assert "adv_ratio" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--latency", "nan:nan", "latency_range_ms"),
+            ("--latency", "0:inf", "latency_range_ms"),
+            ("--mix", "replay=nan", "adversary_mix"),
+            ("--config", "inf-energy.json", "energy_weights"),
+        ],
+    )
+    def test_non_finite_config_is_config_error(self, run, tmp_path, flag, value, field):
+        weights = {"group_exp": float("inf"), "group_mul": 1.0, "hash": 1.0}
+        (tmp_path / "inf-energy.json").write_text(json.dumps({"energy_weights": weights}))
+        code, _, err = run("simulate", "--sessions", "10", "--adv-ratio", "0.5",
+                           "--group", "toy", flag, value)
+        assert code == 1
+        assert field in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_parallel_option_is_gone(self, run):
+        code, _, err = run("simulate", "--sessions", "10", "--group", "toy", "--parallel", "2")
+        assert code == 1
+        assert "--parallel" in err
 
     def test_missing_sessions_is_usage_error(self, run):
         code, _, err = run("simulate", "--group", "toy")

@@ -286,4 +286,6 @@ def test_unknown_group_id_rejected():
 
 
 def test_production_alias_resolves_to_p256():
-    assert get_group("production") is get_group("p256")
+    # the alias is gone: "p256" is the one name of the curve group
+    with pytest.raises(GroupError):
+        get_group("production")

@@ -31,6 +31,7 @@ from przkbind.protocol import (
     fiat_shamir_prove,
     fiat_shamir_verify,
     identity_check,
+    pump,
     run_interactive_session,
     schnorr_response,
     schnorr_verify,
@@ -442,6 +443,38 @@ class TestStateMachineSafety:
         d.commit()
         d.receive(Verdict(False, Reason.BAD_PROOF))
         assert d.phase is Phase.FAILED and d.failure is Reason.BAD_PROOF
+
+    def test_reject_verdict_erases_established_key(self, toy_env):
+        p, d = make_entity(toy_env), make_twin(toy_env)
+        run_interactive_session(p, d)
+        assert p.phase is Phase.KEY_ESTABLISHED
+        # a late accept changes nothing
+        assert p.receive(Verdict(True)) == []
+        assert p.phase is Phase.KEY_ESTABLISHED and p.session_key is not None
+        # a reject means the peer holds no key, so neither may the entity
+        assert p.receive(Verdict(False, Reason.BAD_IDENTITY)) == []
+        assert p.phase is Phase.FAILED
+        assert p.session_key is None
+        assert p.failure is Reason.BAD_IDENTITY
+
+    def test_pump_alternates_parties_and_stops_on_silence(self, toy_env):
+        p, d = make_entity(toy_env), make_twin(toy_env)
+        seen = []
+
+        def hop(recipient, msg):
+            seen.append((recipient is p, msg.label))
+            return recipient.receive(msg)
+
+        pump(p, d, hop)
+        assert seen == [
+            (True, "commit"), (False, "challenge"), (True, "response"),
+            (False, "identity_proof"), (True, "verdict"),
+        ]
+        assert p.session_key.k_pd == d.session_key.k_pd
+        # the default hop just delivers
+        p2, d2 = make_entity(toy_env), make_twin(toy_env)
+        pump(p2, d2)
+        assert p2.session_key.k_pd == d2.session_key.k_pd
 
     def test_timeout_event(self, toy_env):
         d = make_twin(toy_env)

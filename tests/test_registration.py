@@ -133,6 +133,26 @@ class TestPersistence:
         with pytest.raises(RegistryIOError, match="record 0"):
             load_registry(toy, path)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1, 2]",
+            '"just a string"',
+            '{"pk_p": "0000000d", "pk_d": "00000008", "t": 1700000000, "zeta": 5}',
+            '{"pk_p": 13, "pk_d": "00000008", "t": 1700000000, "zeta": "00"}',
+            # a second record for an already bound pair
+            json.dumps({"pk_p": "0000000d", "pk_d": "00000008", "t": T0, "zeta": ZETA_13_8_T0}),
+        ],
+    )
+    def test_malformed_line_names_its_index(self, toy, tmp_path, line):
+        registry = Registry(toy)
+        registry.register(13, 8, T0)
+        path = tmp_path / "registry.ndjson"
+        save_registry(registry, path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(RegistryIOError, match="record 1"):
+            load_registry(toy, path)
+
     def test_missing_key_named(self, toy, tmp_path):
         path = tmp_path / "registry.ndjson"
         path.write_text('{"pk_p": "00000002", "pk_d": "00000004", "t": 5}\n')

@@ -15,7 +15,6 @@ from przkbind.simulator import (
     build_env,
     compute_aggregates,
     energy_proxy,
-    far,
     run_campaign,
     run_session,
     _spawn_rng,
@@ -146,9 +145,8 @@ class TestCampaign:
         cfg = toy_config(sessions=60)
         serial = run_campaign(cfg)
         again = run_campaign(cfg)
-        parallel = run_campaign(cfg, workers=4)
-        assert serial.to_json() == again.to_json() == parallel.to_json()
-        assert serial.to_csv() == parallel.to_csv()
+        assert serial.to_json() == again.to_json()
+        assert serial.to_csv() == again.to_csv()
 
     def test_conservation_of_session_kinds(self):
         report = run_campaign(toy_config(sessions=80, adv_ratio=0.25))
@@ -164,14 +162,13 @@ class TestCampaign:
     def test_far_null_without_adversaries(self):
         report = run_campaign(toy_config(sessions=20, adv_ratio=0.0))
         assert report.aggregates["far"] is None
-        assert far(report) is None
         assert report.aggregates["honest_accept_rate"] == 1.0
 
     def test_far_recomputable_from_sessions(self):
         report = run_campaign(toy_config(sessions=110, adv_ratio=0.2, rng_seed=3))
         adversarial = [m for m in report.sessions if m.kind != HONEST]
         expected = sum(m.accepted for m in adversarial) / len(adversarial)
-        assert far(report) == expected == report.aggregates["far"]
+        assert expected == report.aggregates["far"]
 
     def test_virtual_latency_equals_sum_of_injected_delays(self):
         # with a fixed per-message delay, every latency is a multiple of it,
