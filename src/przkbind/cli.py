@@ -72,6 +72,26 @@ def _load_json(path: Path) -> dict:
         return json.load(fh)
 
 
+_KEY_FIELDS = {"group": str, "source": IdentitySource, "s_p": bytes.fromhex,
+               "sk_d": bytes.fromhex, "pk_p": bytes.fromhex, "pk_d": bytes.fromhex}
+
+
+def _load_key_file(path: Path, *names: str) -> dict:
+    """The group and the named fields of a key file, hex fields as bytes; a
+    missing or mistyped field is an integrity failure naming file and field."""
+    obj = _load_json(path)
+    out = {}
+    for name in ("group", *names):
+        value = obj.get(name) if isinstance(obj, dict) else None
+        try:
+            if not isinstance(value, str):
+                raise ValueError("missing or not a string")
+            out[name] = _KEY_FIELDS[name](value)
+        except ValueError as exc:
+            raise IntegrityFailure(f"{path}: field {name!r}: {exc}") from None
+    return out
+
+
 @click.group()
 def cli() -> None:
     """Physically rooted zero-knowledge twin binding: keys, registration,
@@ -116,13 +136,13 @@ def keygen(seed: str, group_id: str, out_dir: Path) -> None:
 @click.option("--time", "timestamp", type=int, default=None, help="Binding timestamp (default: now).")
 def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: int | None) -> None:
     """Mint the binding record for a key pair and append it to the registry."""
-    entity_obj = _load_json(entity_pub)
-    twin_obj = _load_json(twin_pub)
+    entity_obj = _load_key_file(entity_pub, "pk_p")
+    twin_obj = _load_key_file(twin_pub, "pk_d")
     if entity_obj["group"] != twin_obj["group"]:
         raise click.UsageError("entity and twin key files use different groups")
     group = get_group(entity_obj["group"])
-    pk_p = group.decode(bytes.fromhex(entity_obj["pk_p"]))
-    pk_d = group.decode(bytes.fromhex(twin_obj["pk_d"]))
+    pk_p = group.decode(entity_obj["pk_p"])
+    pk_d = group.decode(twin_obj["pk_d"])
     if timestamp is None:
         timestamp = int(time.time())
     if registry_path.exists():
@@ -131,7 +151,7 @@ def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: i
         registry = Registry(group)
     record = registry.register(pk_p, pk_d, timestamp)
     save_registry(registry, registry_path)
-    click.echo(f"bound pk_p={entity_obj['pk_p'][:16]}… pk_d={twin_obj['pk_d'][:16]}… t={timestamp}")
+    click.echo(f"bound pk_p={entity_obj['pk_p'].hex()[:16]}… pk_d={twin_obj['pk_d'].hex()[:16]}… t={timestamp}")
     click.echo(f"zeta={record.zeta.hex()}")
 
 
@@ -143,14 +163,14 @@ def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: i
 @click.option("--fiat-shamir", is_flag=True, help="Run the non-interactive proof instead.")
 def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: str, fiat_shamir: bool) -> None:
     """Run one local authentication session and print its transcript."""
-    entity_obj = _load_json(entity_key)
-    twin_obj = _load_json(twin_key)
+    entity_obj = _load_key_file(entity_key, "s_p", "source")
+    twin_obj = _load_key_file(twin_key, "sk_d")
     if entity_obj["group"] != twin_obj["group"]:
         raise click.UsageError("entity and twin key files use different groups")
     group = get_group(entity_obj["group"])
-    identity = PhysicalIdentity(bytes.fromhex(entity_obj["s_p"]), IdentitySource(entity_obj["source"]))
+    identity = PhysicalIdentity(entity_obj["s_p"], entity_obj["source"])
     keys = derive_entity_keys(identity, group)
-    sk_d = group.decode_scalar(bytes.fromhex(twin_obj["sk_d"]))
+    sk_d = group.decode_scalar(twin_obj["sk_d"])
     twin = TwinKeyPair(sk_d, group.exp(group.g, sk_d))
 
     registry = load_registry(group, registry_path)

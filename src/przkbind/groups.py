@@ -6,7 +6,9 @@ enumerable (used by exhaustive tests and oracles), and the NIST P-256
 curve for production-strength runs. Elements are plain values -- an int
 residue for the toy group, an affine ``(x, y)`` tuple or ``None`` (the
 point at infinity) for the curve -- and all structure lives in the group
-objects.
+objects. A base that stays in use, such as a twin's public key, is
+declared with ``group.long_lived`` so that P-256 can give it a
+precomputed table; ``exp`` is the one way to exponentiate on every path.
 
 Canonical encodings (these bytes are the hash inputs and the wire format):
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import cached_property
 from typing import Iterable, Tuple, Union
 
 Element = Union[int, Tuple[int, int], None]
@@ -116,6 +119,10 @@ class ToyGroup:
             raise GroupError(f"not a toy group member: {base!r}")
         return pow(base, e % self.q, self.modulus)
 
+    def long_lived(self, x: Element) -> Element:
+        """Exps here need no precomputation, so x is returned unchanged."""
+        return x
+
     def mul(self, a: Element, b: Element) -> Element:
         if not self.is_member(a) or not self.is_member(b):
             raise GroupError("operands must be toy group members")
@@ -158,82 +165,144 @@ _N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 _INFINITY = (0, 0, 0)  # Jacobian representation of the point at infinity
 
-# Lim-Lee comb parameters for repeated bases: 8 teeth over 256-bit scalars.
-_COMB_TEETH = 8
-_COMB_COLS = 32
+# Lim-Lee comb geometry for declared bases: 6 teeth of 43 columns cover
+# 258 >= 256 scalar bits with a table of 63 affine points (~12 KiB) per base.
+_COMB_TEETH = 6
+_COMB_COLS = 43
+# wNAF window for every other base: 2^(w-2) = 8 odd multiples.
+_WNAF_WIDTH = 5
 
 
-def _jac_double(pt, p=_P, a=_A):
+def _jac_double(pt, p=_P):
+    # dbl-2001-b, which uses a = -3
     x1, y1, z1 = pt
     if not y1:
         return _INFINITY
-    yy = y1 * y1 % p
-    s = 4 * x1 * yy % p
-    zz = z1 * z1 % p
-    m = (3 * x1 * x1 + a * zz % p * zz) % p
-    x3 = (m * m - 2 * s) % p
-    y3 = (m * (s - x3) - 8 * yy * yy) % p
-    z3 = 2 * y1 * z1 % p
-    return (x3, y3, z3)
+    delta = z1 * z1 % p
+    gamma = y1 * y1 % p
+    beta = x1 * gamma % p
+    alpha = 3 * (x1 - delta) * (x1 + delta) % p
+    x3 = (alpha * alpha - 8 * beta) % p
+    y3 = (alpha * (4 * beta - x3) - 8 * gamma * gamma) % p
+    return (x3, y3, 2 * y1 * z1 % p)
 
 
-def _jac_add(p1, p2, p=_P):
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
+def _jac_add_affine(pt, q, p=_P):
+    """Mixed addition: Jacobian pt plus affine q."""
+    x1, y1, z1 = pt
+    x2, y2 = q
     if not z1:
-        return p2
-    if not z2:
-        return p1
-    z1z1 = z1 * z1 % p
-    z2z2 = z2 * z2 % p
-    u1 = x1 * z2z2 % p
-    u2 = x2 * z1z1 % p
-    s1 = y1 * z2 % p * z2z2 % p
-    s2 = y2 * z1 % p * z1z1 % p
-    h = (u2 - u1) % p
-    r = (s2 - s1) % p
+        return (x2, y2, 1)
+    zz = z1 * z1 % p
+    h = (x2 * zz - x1) % p
+    r = (y2 * zz % p * z1 - y1) % p
     if not h:
-        if not r:
-            return _jac_double(p1)
-        return _INFINITY
+        return _INFINITY if r else _jac_double(pt)
     hh = h * h % p
     hhh = h * hh % p
-    v = u1 * hh % p
+    v = x1 * hh % p
     x3 = (r * r - hhh - 2 * v) % p
-    y3 = (r * (v - x3) - s1 * hhh) % p
-    z3 = z1 * z2 % p * h % p
-    return (x3, y3, z3)
+    return (x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p)
 
 
-def _jac_to_affine(pt, p=_P):
-    x, y, z = pt
-    if not z:
-        return None
-    zi = pow(z, -1, p)
-    zi2 = zi * zi % p
-    return (x * zi2 % p, y * zi2 % p * zi % p)
+def _to_affine(pts, p=_P):
+    """Affine forms of Jacobian points (none at infinity) for one field inversion."""
+    prefix = [1]
+    for pt in pts:
+        prefix.append(prefix[-1] * pt[2] % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [None] * len(pts)
+    for i in range(len(pts) - 1, -1, -1):
+        x, y, z = pts[i]
+        zi = inv * prefix[i] % p
+        inv = inv * z % p
+        zi2 = zi * zi % p
+        out[i] = (x * zi2 % p, y * zi2 % p * zi % p)
+    return out
+
+
+def _comb_table(base):
+    # entry m - 1 is the sum over set bits i of m of 2^(COLS * i) * base
+    pt = (base[0], base[1], 1)
+    strides = [pt]
+    for _ in range(_COMB_TEETH - 1):
+        for _ in range(_COMB_COLS):
+            pt = _jac_double(pt)
+        strides.append(pt)
+    table = [_INFINITY]
+    for stride in _to_affine(strides):
+        table += [_jac_add_affine(t, stride) for t in table]
+    return _to_affine(table[1:])
+
+
+def _comb_mult(table, e):
+    # column c's digit is bits c, c + COLS, ..., read MSB-first off one string
+    bits = format(e, f"0{_COMB_TEETH * _COMB_COLS}b")
+    acc = _INFINITY
+    for start in range(_COMB_COLS):
+        acc = _jac_double(acc)
+        digit = int(bits[start::_COMB_COLS], 2)
+        if digit:
+            acc = _jac_add_affine(acc, table[digit - 1])
+    return acc
+
+
+def _wnaf_mult(base, e):
+    pt = (base[0], base[1], 1)
+    (twice,) = _to_affine([_jac_double(pt)])
+    odd = [pt]
+    for _ in range((1 << (_WNAF_WIDTH - 2)) - 1):
+        odd.append(_jac_add_affine(odd[-1], twice))
+    odd = _to_affine(odd)  # odd[i] = (2i + 1) * base
+    digits = []  # least significant first; each nonzero digit is odd and |d| < 2^(w-1)
+    while e:
+        d = 0
+        if e & 1:
+            d = e & ((1 << _WNAF_WIDTH) - 1)
+            if d >> (_WNAF_WIDTH - 1):
+                d -= 1 << _WNAF_WIDTH
+            e -= d
+        digits.append(d)
+        e >>= 1
+    acc = _INFINITY
+    for d in reversed(digits):
+        acc = _jac_double(acc)
+        if d:
+            x, y = odd[abs(d) >> 1]
+            acc = _jac_add_affine(acc, (x, y) if d > 0 else (x, _P - y))
+    return acc
+
+
+class _LongLived(tuple):
+    """A declared affine point: equal to, and hashing as, the plain point,
+    and owning the comb table for its own exps from the first one on."""
+
+    @cached_property
+    def comb(self):
+        return _comb_table(self)
 
 
 class P256Group:
     """NIST P-256: prime-order elliptic-curve group at the 128-bit level.
 
-    Scalar multiplication runs in Jacobian coordinates with a 4-bit window;
-    bases that recur (the generator, long-term public keys) get a lazily
-    built comb table, which is what keeps large session campaigns fast.
+    ``exp`` picks its path by what the base was declared to be, never by
+    how often it was seen. The generator, and keys declared through
+    ``long_lived``, carry one affine Lim-Lee comb table each, built on
+    their first exp and freed with them; every other base (points decoded
+    from the wire, fresh protocol values) goes through width-5 wNAF.
+    Both run in Jacobian coordinates with mixed Jacobian-affine addition
+    and the a = -3 doubling, and the group object itself holds no
+    per-base state.
     """
 
     group_id = "p256"
     q = _N
-    g = (_GX, _GY)
+    g = _LongLived((_GX, _GY))
     identity = None
     element_size = 33
     scalar_size = 32
 
     _IDENTITY_ENC = b"\x00" * 33
-
-    def __init__(self):
-        self._combs = {}
-        self._base_uses = {}
 
     def is_member(self, x: Element) -> bool:
         if x is None:
@@ -253,10 +322,18 @@ class P256Group:
         e %= self.q
         if base is None or e == 0:
             return None
-        comb = self._comb_for(base)
-        if comb is not None:
-            return _jac_to_affine(self._comb_mult(comb, e))
-        return _jac_to_affine(self._window_mult(base, e))
+        if type(base) is _LongLived:
+            acc = _comb_mult(base.comb, e)
+        else:
+            acc = _wnaf_mult(base, e)
+        return _to_affine([acc])[0]
+
+    def long_lived(self, x: Element) -> Element:
+        """Declare a point that will be an exp base for as long as it lives
+        (a twin's public key): returns an equal point owning a comb table."""
+        if x is None or not self.is_member(x):
+            raise GroupError(f"not a curve point other than the identity: {x!r}")
+        return _LongLived(x)
 
     def mul(self, a: Element, b: Element) -> Element:
         if not self.is_member(a) or not self.is_member(b):
@@ -317,75 +394,6 @@ class P256Group:
         if value >= self.q:
             raise GroupError("scalar out of range")
         return value
-
-    # -- scalar multiplication internals ---------------------------------
-
-    def _window_mult(self, base, e):
-        # 4-bit fixed window over a fresh base.
-        bj = (base[0], base[1], 1)
-        table = [None] * 16
-        table[1] = bj
-        table[2] = _jac_double(bj)
-        for i in range(3, 16):
-            table[i] = _jac_add(table[i - 1], bj)
-        acc = _INFINITY
-        started = False
-        for shift in range(252, -4, -4):
-            if started:
-                acc = _jac_double(acc)
-                acc = _jac_double(acc)
-                acc = _jac_double(acc)
-                acc = _jac_double(acc)
-            digit = (e >> shift) & 0xF
-            if digit:
-                acc = _jac_add(acc, table[digit])
-                started = True
-        return acc
-
-    def _comb_for(self, base):
-        """Return the base's comb table, building one on repeated use."""
-        key = base  # affine tuples hash cheaply
-        comb = self._combs.get(key)
-        if comb is not None:
-            return comb
-        uses = self._base_uses.get(key, 0) + 1
-        if uses < 2 and base != self.g:
-            if len(self._base_uses) > 4096:
-                self._base_uses.clear()
-            self._base_uses[key] = uses
-            return None
-        comb = self._build_comb(base)
-        if len(self._combs) > 64:
-            self._combs.clear()
-        self._combs[key] = comb
-        self._base_uses.pop(key, None)
-        return comb
-
-    def _build_comb(self, base):
-        # table[m] = sum over set bits i of m of 2^(32*i) * base
-        strides = [(base[0], base[1], 1)]
-        for _ in range(_COMB_TEETH - 1):
-            pt = strides[-1]
-            for _ in range(_COMB_COLS):
-                pt = _jac_double(pt)
-            strides.append(pt)
-        table = [_INFINITY] * (1 << _COMB_TEETH)
-        for i in range(_COMB_TEETH):
-            step = 1 << i
-            for m in range(step):
-                table[m | step] = _jac_add(table[m], strides[i])
-        return table
-
-    def _comb_mult(self, table, e):
-        acc = _INFINITY
-        for col in range(_COMB_COLS - 1, -1, -1):
-            acc = _jac_double(acc)
-            digit = 0
-            for tooth in range(_COMB_TEETH):
-                digit |= ((e >> (col + _COMB_COLS * tooth)) & 1) << tooth
-            if digit:
-                acc = _jac_add(acc, table[digit])
-        return acc
 
 
 _TOY = ToyGroup()

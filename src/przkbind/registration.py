@@ -144,12 +144,12 @@ def save_registry(registry: Registry, path: Union[str, Path]) -> None:
 def load_registry(group: Group, path: Union[str, Path]) -> Registry:
     """Load and validate a registry; names the offending record on error."""
     registry = Registry(group)
-    with open(path, "r", encoding="utf-8") as fh:
-        for index, line in enumerate(fh):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for index, raw in enumerate(fh):
             try:
-                registry.add(_record_from_json(group, line))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    registry.add(_record_from_json(group, line))
             except (ValueError, GroupError) as exc:
                 raise RegistryIOError(f"record {index}: {exc}") from exc
     return registry

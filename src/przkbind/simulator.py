@@ -69,6 +69,14 @@ class ConfigError(ValueError):
         self.field_name = field_name
 
 
+def _as_float(field_name: str, value) -> float:
+    """A config weight or latency bound; a bool or a non-number is a
+    ConfigError, not a silent 1.0 or a crash in float()."""
+    if type(value) not in (int, float):
+        raise ConfigError(field_name, f"{value!r} is not a number")
+    return float(value)
+
+
 class SimulationError(RuntimeError):
     """A session failed to reach a terminal state (implementation bug)."""
 
@@ -86,9 +94,9 @@ class CampaignConfig:
     energy_weights: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ENERGY_WEIGHTS))
 
     def validate(self) -> None:
-        if not isinstance(self.sessions, int) or self.sessions < 1:
+        if type(self.sessions) is not int or self.sessions < 1:
             raise ConfigError("sessions", "must be an integer >= 1")
-        if not 0.0 <= self.adv_ratio <= 1.0:
+        if type(self.adv_ratio) not in (int, float) or not 0.0 <= self.adv_ratio <= 1.0:
             raise ConfigError("adv_ratio", "must lie in [0, 1]")
         unknown = set(self.adversary_mix) - set(KIND_ORDER)
         if unknown:
@@ -110,7 +118,7 @@ class CampaignConfig:
             )
         if not all(math.isfinite(w) and w >= 0 for w in self.energy_weights.values()):
             raise ConfigError("energy_weights", "weights must be finite and nonnegative")
-        if not isinstance(self.rng_seed, int):
+        if type(self.rng_seed) is not int:
             raise ConfigError("rng_seed", "must be an integer")
 
     def to_dict(self) -> dict:
@@ -133,28 +141,19 @@ class CampaignConfig:
             raise ConfigError(sorted(unknown)[0], "unknown config field")
         if "sessions" not in obj:
             raise ConfigError("sessions", "is required")
-        kwargs = {"sessions": obj["sessions"]}
-        if "adv_ratio" in obj:
-            kwargs["adv_ratio"] = obj["adv_ratio"]
-        if "adversary_mix" in obj:
-            if not isinstance(obj["adversary_mix"], dict):
-                raise ConfigError("adversary_mix", "must be an object of kind -> weight")
-            kwargs["adversary_mix"] = {k: float(v) for k, v in obj["adversary_mix"].items()}
+        kwargs = {k: obj[k] for k in ("sessions", "adv_ratio", "group_id", "rng_seed") if k in obj}
         if "latency_range_ms" in obj:
             rng_ms = obj["latency_range_ms"]
             if isinstance(rng_ms, (int, float)):
                 rng_ms = [rng_ms, rng_ms]
             if not (isinstance(rng_ms, (list, tuple)) and len(rng_ms) == 2):
                 raise ConfigError("latency_range_ms", "must be [low, high] or a single number")
-            kwargs["latency_range_ms"] = (float(rng_ms[0]), float(rng_ms[1]))
-        if "group_id" in obj:
-            kwargs["group_id"] = obj["group_id"]
-        if "rng_seed" in obj:
-            kwargs["rng_seed"] = obj["rng_seed"]
-        if "energy_weights" in obj:
-            if not isinstance(obj["energy_weights"], dict):
-                raise ConfigError("energy_weights", "must be an object of op -> weight")
-            kwargs["energy_weights"] = {k: float(v) for k, v in obj["energy_weights"].items()}
+            kwargs["latency_range_ms"] = tuple(_as_float("latency_range_ms", v) for v in rng_ms)
+        for name, key in (("adversary_mix", "kind"), ("energy_weights", "op")):
+            if name in obj:
+                if not isinstance(obj[name], dict):
+                    raise ConfigError(name, f"must be an object of {key} -> weight")
+                kwargs[name] = {k: _as_float(name, v) for k, v in obj[name].items()}
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

@@ -150,14 +150,17 @@ class TestAuthenticate:
         assert code == 3
         assert "record 0" in err
 
-    @pytest.mark.parametrize("line", ["[1, 2]", "non-string zeta"])
+    @pytest.mark.parametrize("line", ["[1, 2]", "non-string zeta", "invalid UTF-8"])
     def test_malformed_registry_line_is_integrity_failure(self, run, keyfiles, line):
         path = keyfiles / "registry.ndjson"
         if line == "non-string zeta":
             obj = json.loads(path.read_text().splitlines()[0])
             obj["zeta"] = 5
             line = json.dumps(obj)
-        path.write_text(line + "\n")
+        if line == "invalid UTF-8":
+            path.write_bytes(b"\xff\xfe\n")
+        else:
+            path.write_text(line + "\n")
         code, _, err = run(
             "authenticate",
             "--entity-key", "keys/entity.key.json",
@@ -166,6 +169,7 @@ class TestAuthenticate:
         )
         assert code == 3
         assert "record 0" in err
+        assert err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_unregistered_pair_is_integrity_failure(self, run, keyfiles):
@@ -178,6 +182,45 @@ class TestAuthenticate:
         )
         assert code == 3
         assert "no binding record" in err
+
+
+_REGISTER = ("register", "--entity-pub", "keys/entity.pub.json", "--twin-pub",
+             "keys/twin.pub.json", "--registry", "registry.ndjson", "--time", str(T0 + 1))
+_AUTHENTICATE = ("authenticate", "--entity-key", "keys/entity.key.json", "--twin-key",
+                 "keys/twin.key.json", "--registry", "registry.ndjson")
+
+
+@pytest.mark.parametrize(
+    "command, name, edit, field",
+    [
+        (_AUTHENTICATE, "entity.key.json", {"s_p": None, "source": None}, "s_p"),
+        (_AUTHENTICATE, "entity.key.json", {"s_p": 5}, "s_p"),
+        (_AUTHENTICATE, "entity.key.json", {"source": "fixed"}, "source"),
+        (_AUTHENTICATE, "entity.key.json", [1, 2], "group"),
+        (_AUTHENTICATE, "twin.key.json", {"sk_d": "zz"}, "sk_d"),
+        (_AUTHENTICATE, "twin.key.json", {"group": None}, "group"),
+        (_REGISTER, "entity.pub.json", {"group": 3}, "group"),
+        (_REGISTER, "entity.pub.json", {"pk_p": ["00"]}, "pk_p"),
+        (_REGISTER, "twin.pub.json", {"pk_d": None}, "pk_d"),
+    ],
+)
+def test_malformed_key_file_is_integrity_failure(run, keyfiles, command, name, edit, field):
+    path = keyfiles / "keys" / name
+    if isinstance(edit, dict):
+        obj = json.loads(path.read_text())
+        for key, value in edit.items():
+            if value is None:
+                obj.pop(key)
+            else:
+                obj[key] = value
+    else:
+        obj = edit
+    path.write_text(json.dumps(obj))
+    code, _, err = run(*command)
+    assert code == 3
+    assert err.count("\n") == 1
+    assert name in err and repr(field) in err
+    assert "Traceback" not in err
 
 
 class TestSimulate:
@@ -231,6 +274,29 @@ class TestSimulate:
                            "--group", "toy", flag, value)
         assert code == 1
         assert field in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            ({"sessions": True}, "sessions"),
+            ({"adv_ratio": "0.5"}, "adv_ratio"),
+            ({"adversary_mix": {"replay": "a"}}, "adversary_mix"),
+            ({"adversary_mix": {"replay": True}}, "adversary_mix"),
+            ({"latency_range_ms": [True, 2]}, "latency_range_ms"),
+            ({"latency_range_ms": ["a", 2]}, "latency_range_ms"),
+            ({"energy_weights": {"group_exp": False, "group_mul": 1, "hash": 1}}, "energy_weights"),
+            ({"energy_weights": {"group_exp": 1, "group_mul": 1, "hash": "1"}}, "energy_weights"),
+        ],
+    )
+    def test_mistyped_config_is_config_error(self, run, tmp_path, edit, field):
+        cfg = {"sessions": 10, "adv_ratio": 0.5, "group_id": "toy", **edit}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, _, err = run("simulate", "--config", "cfg.json")
+        assert code == 1
+        assert field in err
+        assert err.count("\n") == 1
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "report.csv").exists()
 

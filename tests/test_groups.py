@@ -265,13 +265,29 @@ class TestP256:
         with pytest.raises(GroupError):
             p256.decode(cand)
 
-    def test_fresh_and_cached_base_paths_agree(self, p256):
+    def test_declared_and_plain_base_paths_agree(self, p256):
         rng = random.Random(4)
         base = p256.exp(p256.g, rng.randrange(1, p256.q))
-        k = rng.randrange(1, p256.q)
-        first = p256.exp(base, k)   # windowed path
-        second = p256.exp(base, k)  # comb path after repeated use
-        assert first == second == _naive_mult(p256, base, k)
+        declared = p256.long_lived(base)
+        assert declared == base and hash(declared) == hash(base)
+        for _ in range(2):
+            k = rng.randrange(1, p256.q)
+            # wNAF on the plain point, the comb table on the declared one
+            assert p256.exp(base, k) == p256.exp(declared, k) == _naive_mult(p256, base, k)
+        with pytest.raises(GroupError):
+            p256.long_lived(p256.identity)
+
+    def test_wire_points_leave_no_per_base_state(self, p256):
+        rng = random.Random(5)
+        wire = [p256.encode(p256.exp(p256.g, rng.randrange(1, p256.q))) for _ in range(200)]
+        assert len(set(wire)) == 200
+        state = dict(vars(p256))
+        for data in wire:
+            point = p256.decode(data)
+            for _ in range(2):  # a repeated base gets no table either
+                p256.exp(point, rng.randrange(1, p256.q))
+            assert type(point) is tuple  # a plain tuple cannot carry a table
+        assert vars(p256) == state == {}
 
     def test_scalar_codec(self, p256):
         s = 0xDEADBEEF

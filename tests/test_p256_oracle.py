@@ -1,0 +1,56 @@
+"""Differential test of P-256 exp against OpenSSL through `cryptography`.
+
+The generator path is checked as a full point against OpenSSL's public
+key derivation; declared long-lived keys and plain points are checked by
+the x coordinate against OpenSSL's ECDH, which returns only x.
+"""
+
+import random
+
+import pytest
+
+ec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+
+Q = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+
+
+def _scalars():
+    rng = random.Random(11)
+    edge = [1, 2, Q - 1, Q + 1, 1 << 255]
+    # long zero runs in the middle, at the top and at the bottom of the scalar
+    zero_runs = [(1 << 255) | 1, (1 << 200) | (1 << 3), 0xFFFF << 240, ((1 << 64) - 1) << 100]
+    return edge + zero_runs + [rng.randrange(1, Q) for _ in range(12)]
+
+
+def _private(e):
+    return ec.derive_private_key(e % Q, ec.SECP256R1())
+
+
+def _ecdh_x(e, point):
+    peer = ec.EllipticCurvePublicNumbers(point[0], point[1], ec.SECP256R1()).public_key()
+    return int.from_bytes(_private(e).exchange(ec.ECDH(), peer), "big")
+
+
+@pytest.mark.parametrize("e", _scalars())
+def test_generator_matches_openssl(p256, e):
+    numbers = _private(e).public_key().public_numbers()
+    assert p256.exp(p256.g, e) == (numbers.x, numbers.y)
+
+
+@pytest.mark.parametrize("e", _scalars())
+def test_declared_and_plain_bases_match_openssl_ecdh(p256, e):
+    numbers = _private(0x5EED).public_key().public_numbers()
+    plain = (numbers.x, numbers.y)
+    declared = p256.long_lived(plain)
+    expected = _ecdh_x(e, plain)
+    assert p256.exp(plain, e)[0] == expected
+    assert p256.exp(declared, e)[0] == expected
+
+
+def test_multiples_of_the_order_give_the_identity(p256):
+    declared = p256.long_lived(p256.exp(p256.g, 0x5EED))
+    plain = tuple(declared)
+    for e in (0, Q, 2 * Q, -Q):
+        assert p256.exp(p256.g, e) is None
+        assert p256.exp(declared, e) is None
+        assert p256.exp(plain, e) is None

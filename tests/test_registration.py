@@ -142,6 +142,8 @@ class TestPersistence:
             '{"pk_p": 13, "pk_d": "00000008", "t": 1700000000, "zeta": "00"}',
             # a second record for an already bound pair
             json.dumps({"pk_p": "0000000d", "pk_d": "00000008", "t": T0, "zeta": ZETA_13_8_T0}),
+            # bytes that are not UTF-8
+            b"\xff\xfe",
         ],
     )
     def test_malformed_line_names_its_index(self, toy, tmp_path, line):
@@ -149,7 +151,9 @@ class TestPersistence:
         registry.register(13, 8, T0)
         path = tmp_path / "registry.ndjson"
         save_registry(registry, path)
-        path.write_text(path.read_text() + line + "\n")
+        if isinstance(line, str):
+            line = line.encode()
+        path.write_bytes(path.read_bytes() + line + b"\n")
         with pytest.raises(RegistryIOError, match="record 1"):
             load_registry(toy, path)
 
