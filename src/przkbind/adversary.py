@@ -73,6 +73,21 @@ class AttackOutcome:
     detail: str = ""
 
 
+def _forge_proof(target: EntitySession, alpha: Element, answer, ops: OpCounts, won: str):
+    """Commit to alpha, then send ``answer()`` as the response once the
+    challenge has arrived; ``won`` is the detail if the target accepts."""
+    replies = target.receive(Commit(alpha))
+    if not replies or not isinstance(replies[0], Challenge):
+        verdict = replies[0] if replies else Verdict(False, target.failure)
+        return AttackOutcome(verdict, 1, ops, "commitment rejected")
+    replies = target.receive(Response(answer()))
+    if target.schnorr_verified:
+        # the deceived verifier sends its identity proof: a 4th in-flight message
+        return AttackOutcome(Verdict(True), 4, ops, won)
+    verdict = replies[0] if replies and isinstance(replies[0], Verdict) else Verdict(False)
+    return AttackOutcome(verdict, 3, ops)
+
+
 def attack_replay(ctx: AttackContext, target: EntitySession, rng) -> AttackOutcome:
     """Replay a recorded commitment and response against a fresh verifier.
 
@@ -84,17 +99,7 @@ def attack_replay(ctx: AttackContext, target: EntitySession, rng) -> AttackOutco
     if not usable:
         raise AttackError("no recorded transcripts to replay")
     recorded = usable[rng.randrange(len(usable))]
-    ops = OpCounts()
-    replies = target.receive(Commit(recorded.alpha))
-    if not replies or not isinstance(replies[0], Challenge):
-        verdict = replies[0] if replies else Verdict(False, target.failure)
-        return AttackOutcome(verdict, 1, ops, "commitment rejected")
-    replies = target.receive(Response(recorded.z))
-    if target.schnorr_verified:
-        # the deceived verifier sends its identity proof: a 4th in-flight message
-        return AttackOutcome(Verdict(True), 4, ops, "challenge collision")
-    verdict = replies[0] if replies and isinstance(replies[0], Verdict) else Verdict(False)
-    return AttackOutcome(verdict, 3, ops)
+    return _forge_proof(target, recorded.alpha, lambda: recorded.z, OpCounts(), "challenge collision")
 
 
 def attack_impersonate_twin(ctx: AttackContext, rng, target: EntitySession) -> AttackOutcome:
@@ -107,16 +112,7 @@ def attack_impersonate_twin(ctx: AttackContext, rng, target: EntitySession) -> A
     ops = OpCounts()
     alpha = group.exp(group.g, scalar_random_nonzero(group, rng))
     ops.group_exp += 1
-    replies = target.receive(Commit(alpha))
-    if not replies or not isinstance(replies[0], Challenge):
-        verdict = replies[0] if replies else Verdict(False, target.failure)
-        return AttackOutcome(verdict, 1, ops, "commitment rejected")
-    z = scalar_random(group, rng)
-    replies = target.receive(Response(z))
-    if target.schnorr_verified:
-        return AttackOutcome(Verdict(True), 4, ops, "blind response verified")
-    verdict = replies[0] if replies and isinstance(replies[0], Verdict) else Verdict(False)
-    return AttackOutcome(verdict, 3, ops)
+    return _forge_proof(target, alpha, lambda: scalar_random(group, rng), ops, "blind response verified")
 
 
 def attack_kci(ctx: AttackContext, rng, target: TwinSession) -> AttackOutcome:

@@ -12,7 +12,9 @@ import os
 import stat
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -67,27 +69,37 @@ def _write_json(path: Path, obj: dict, secret: bool = False) -> None:
         path.chmod(stat.S_IRUSR | stat.S_IWUSR)
 
 
-def _load_json(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def _load_json(path: Path, error: Callable[[str], Exception]):
+    """Parse a JSON file; bytes that are not UTF-8 JSON raise ``error(message)``."""
+    try:
+        return json.loads(path.read_bytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise error(f"{path}: not a UTF-8 JSON file: {exc}") from None
 
 
-_KEY_FIELDS = {"group": str, "source": IdentitySource, "s_p": bytes.fromhex,
-               "sk_d": bytes.fromhex, "pk_p": bytes.fromhex, "pk_d": bytes.fromhex}
+# How each key-file field is read from its string value, given the file's group.
+_KEY_FIELDS = {
+    "group": lambda group, value: get_group(value),
+    "source": lambda group, value: IdentitySource(value),
+    "s_p": lambda group, value: bytes.fromhex(value),
+    "sk_d": lambda group, value: group.decode_scalar(bytes.fromhex(value)),
+    "pk_p": lambda group, value: group.decode(bytes.fromhex(value)),
+    "pk_d": lambda group, value: group.decode(bytes.fromhex(value)),
+}
 
 
 def _load_key_file(path: Path, *names: str) -> dict:
-    """The group and the named fields of a key file, hex fields as bytes; a
-    missing or mistyped field is an integrity failure naming file and field."""
-    obj = _load_json(path)
-    out = {}
+    """The group and the named fields of a key file, decoded; a missing or
+    mistyped field is an integrity failure naming file and field."""
+    obj = _load_json(path, IntegrityFailure)
+    out = {"group": None}
     for name in ("group", *names):
         value = obj.get(name) if isinstance(obj, dict) else None
         try:
             if not isinstance(value, str):
                 raise ValueError("missing or not a string")
-            out[name] = _KEY_FIELDS[name](value)
-        except ValueError as exc:
+            out[name] = _KEY_FIELDS[name](out["group"], value)
+        except ValueError as exc:  # GroupError is a ValueError
             raise IntegrityFailure(f"{path}: field {name!r}: {exc}") from None
     return out
 
@@ -111,22 +123,15 @@ def keygen(seed: str, group_id: str, out_dir: Path) -> None:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     gid = group.group_id
-    _write_json(out_dir / "entity.pub.json", {"group": gid, "pk_p": group.encode(keys.pk_p).hex()})
-    _write_json(
-        out_dir / "entity.key.json",
-        {"group": gid, "s_p": identity.s_p.hex(), "source": identity.source.value},
-        secret=True,
-    )
-    _write_json(out_dir / "twin.pub.json", {"group": gid, "pk_d": group.encode(twin.pk_d).hex()})
-    _write_json(
-        out_dir / "twin.key.json",
-        {"group": gid, "sk_d": group.encode_scalar(twin.sk_d).hex()},
-        secret=True,
-    )
-    click.echo(f"wrote {out_dir / 'entity.pub.json'}")
-    click.echo(f"wrote {out_dir / 'entity.key.json'} (secret, permissions 0600)")
-    click.echo(f"wrote {out_dir / 'twin.pub.json'}")
-    click.echo(f"wrote {out_dir / 'twin.key.json'} (secret, permissions 0600)")
+    files = {  # name -> (contents, secret)
+        "entity.pub.json": ({"group": gid, "pk_p": group.encode(keys.pk_p).hex()}, False),
+        "entity.key.json": ({"group": gid, "s_p": identity.s_p.hex(), "source": identity.source.value}, True),
+        "twin.pub.json": ({"group": gid, "pk_d": group.encode(twin.pk_d).hex()}, False),
+        "twin.key.json": ({"group": gid, "sk_d": group.encode_scalar(twin.sk_d).hex()}, True),
+    }
+    for name, (obj, secret) in files.items():
+        _write_json(out_dir / name, obj, secret)
+        click.echo(f"wrote {out_dir / name}" + (" (secret, permissions 0600)" if secret else ""))
 
 
 @cli.command()
@@ -138,11 +143,10 @@ def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: i
     """Mint the binding record for a key pair and append it to the registry."""
     entity_obj = _load_key_file(entity_pub, "pk_p")
     twin_obj = _load_key_file(twin_pub, "pk_d")
-    if entity_obj["group"] != twin_obj["group"]:
+    if entity_obj["group"] is not twin_obj["group"]:
         raise click.UsageError("entity and twin key files use different groups")
-    group = get_group(entity_obj["group"])
-    pk_p = group.decode(entity_obj["pk_p"])
-    pk_d = group.decode(twin_obj["pk_d"])
+    group = entity_obj["group"]
+    pk_p, pk_d = entity_obj["pk_p"], twin_obj["pk_d"]
     if timestamp is None:
         timestamp = int(time.time())
     if registry_path.exists():
@@ -151,7 +155,7 @@ def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: i
         registry = Registry(group)
     record = registry.register(pk_p, pk_d, timestamp)
     save_registry(registry, registry_path)
-    click.echo(f"bound pk_p={entity_obj['pk_p'].hex()[:16]}… pk_d={twin_obj['pk_d'].hex()[:16]}… t={timestamp}")
+    click.echo(f"bound pk_p={group.encode(pk_p).hex()[:16]}… pk_d={group.encode(pk_d).hex()[:16]}… t={timestamp}")
     click.echo(f"zeta={record.zeta.hex()}")
 
 
@@ -165,12 +169,12 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
     """Run one local authentication session and print its transcript."""
     entity_obj = _load_key_file(entity_key, "s_p", "source")
     twin_obj = _load_key_file(twin_key, "sk_d")
-    if entity_obj["group"] != twin_obj["group"]:
+    if entity_obj["group"] is not twin_obj["group"]:
         raise click.UsageError("entity and twin key files use different groups")
-    group = get_group(entity_obj["group"])
+    group = entity_obj["group"]
     identity = PhysicalIdentity(entity_obj["s_p"], entity_obj["source"])
     keys = derive_entity_keys(identity, group)
-    sk_d = group.decode_scalar(twin_obj["sk_d"])
+    sk_d = twin_obj["sk_d"]
     twin = TwinKeyPair(sk_d, group.exp(group.g, sk_d))
 
     registry = load_registry(group, registry_path)
@@ -259,19 +263,18 @@ def simulate(config_path, sessions, adv_ratio, latency, seed, group_id, mix, out
         if env_path:
             config_path = Path(env_path)
     if config_path is not None:
-        base = _load_json(config_path)
-    if sessions is not None:
-        base["sessions"] = sessions
-    if adv_ratio is not None:
-        base["adv_ratio"] = adv_ratio
-    if latency is not None:
-        base["latency_range_ms"] = list(_parse_latency(latency))
-    if seed is not None:
-        base["rng_seed"] = seed
-    if group_id is not None:
-        base["group_id"] = group_id
-    if mix is not None:
-        base["adversary_mix"] = _parse_mix(mix)
+        base = _load_json(config_path, partial(ConfigError, "config"))
+        if not isinstance(base, dict):
+            raise ConfigError("config", f"{config_path}: must be a JSON object")
+    flags = {
+        "sessions": sessions,
+        "adv_ratio": adv_ratio,
+        "latency_range_ms": None if latency is None else list(_parse_latency(latency)),
+        "rng_seed": seed,
+        "group_id": group_id,
+        "adversary_mix": None if mix is None else _parse_mix(mix),
+    }
+    base.update((name, value) for name, value in flags.items() if value is not None)
     if "sessions" not in base:
         raise click.UsageError("a session count is required (--sessions or config file)")
     config = CampaignConfig.from_dict(base)
@@ -315,11 +318,13 @@ def _echo_summary(config: CampaignConfig, agg: dict) -> None:
               show_default=True)
 def report(in_path: Path, fmt: str) -> None:
     """Cross-check a report's stored aggregates and reprint it."""
-    obj = _load_json(in_path)
+    obj = _load_json(in_path, IntegrityFailure)
     try:
         config = CampaignConfig.from_dict(obj["config"])
         metrics = [SessionMetrics.from_dict(s) for s in obj["sessions"]]
         stored = obj["aggregates"]
+        if not isinstance(stored, dict):
+            raise TypeError("aggregates is not an object")
     except (KeyError, TypeError) as exc:
         raise IntegrityFailure(f"malformed report file: {exc}") from exc
     recomputed = compute_aggregates(metrics, config.energy_weights)

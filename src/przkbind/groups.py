@@ -76,25 +76,30 @@ def scalar_random_nonzero(group: "Group", rng) -> int:
     return rng.randrange(1, group.q)
 
 
-def scalar_add(group: "Group", a: int, b: int) -> int:
-    return (a + b) % group.q
-
-
-def scalar_sub(group: "Group", a: int, b: int) -> int:
-    return (a - b) % group.q
-
-
-def scalar_mul(group: "Group", a: int, b: int) -> int:
-    return (a * b) % group.q
-
-
 def scalar_inv(group: "Group", a: int) -> int:
     if a % group.q == 0:
         raise GroupError("zero has no inverse")
     return pow(a, -1, group.q)
 
 
-class ToyGroup:
+class _ScalarCodec:
+    """Scalars in [0, q) as ``scalar_size``-byte big-endian integers."""
+
+    def encode_scalar(self, s: int) -> bytes:
+        if not 0 <= s < self.q:
+            raise GroupError(f"scalar out of range: {s}")
+        return s.to_bytes(self.scalar_size, "big")
+
+    def decode_scalar(self, data: bytes) -> int:
+        if len(data) != self.scalar_size:
+            raise GroupError(f"scalar encoding must be {self.scalar_size} bytes")
+        value = int.from_bytes(data, "big")
+        if value >= self.q:
+            raise GroupError(f"scalar out of range: {value}")
+        return value
+
+
+class ToyGroup(_ScalarCodec):
     """Order-11 subgroup of Z_23^*, generated by 2.
 
     Small enough that discrete logs, full power tables, and every
@@ -139,19 +144,6 @@ class ToyGroup:
         value = struct.unpack(">I", data)[0]
         if value not in self._members:
             raise GroupError(f"not a toy group member: {value}")
-        return value
-
-    def encode_scalar(self, s: int) -> bytes:
-        if not 0 <= s < self.q:
-            raise GroupError(f"scalar out of range: {s}")
-        return struct.pack(">I", s)
-
-    def decode_scalar(self, data: bytes) -> int:
-        if len(data) != self.scalar_size:
-            raise GroupError(f"toy scalar encoding must be {self.scalar_size} bytes")
-        value = struct.unpack(">I", data)[0]
-        if value >= self.q:
-            raise GroupError(f"scalar out of range: {value}")
         return value
 
 
@@ -282,7 +274,7 @@ class _LongLived(tuple):
         return _comb_table(self)
 
 
-class P256Group:
+class P256Group(_ScalarCodec):
     """NIST P-256: prime-order elliptic-curve group at the 128-bit level.
 
     ``exp`` picks its path by what the base was declared to be, never by
@@ -382,27 +374,8 @@ class P256Group:
             py = _P - py
         return (px, py)
 
-    def encode_scalar(self, s: int) -> bytes:
-        if not 0 <= s < self.q:
-            raise GroupError(f"scalar out of range: {s}")
-        return s.to_bytes(32, "big")
 
-    def decode_scalar(self, data: bytes) -> int:
-        if len(data) != self.scalar_size:
-            raise GroupError(f"scalar encoding must be {self.scalar_size} bytes")
-        value = int.from_bytes(data, "big")
-        if value >= self.q:
-            raise GroupError("scalar out of range")
-        return value
-
-
-_TOY = ToyGroup()
-_P256 = P256Group()
-
-_GROUPS = {
-    "toy": _TOY,
-    "p256": _P256,
-}
+_GROUPS = {group.group_id: group for group in (ToyGroup(), P256Group())}
 
 Group = Union[ToyGroup, P256Group]
 

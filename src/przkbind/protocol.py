@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, ClassVar, List, Optional, Tuple, Union
 
@@ -153,7 +153,11 @@ class OpCounts:
     hash: int = 0
 
     def as_dict(self) -> dict:
-        return {"group_exp": self.group_exp, "group_mul": self.group_mul, "hash": self.hash}
+        return {name: getattr(self, name) for name in OP_NAMES}
+
+
+# The counted operations, in the order reports list them.
+OP_NAMES = tuple(f.name for f in fields(OpCounts))
 
 
 # -- wire format ----------------------------------------------------------
@@ -334,7 +338,6 @@ class _Session:
         self.rng = rng
         self.phase = Phase.IDLE
         self.failure: Optional[Reason] = None
-        self.peer_verdict: Optional[Verdict] = None
         self.ops = OpCounts()
         self._key: Optional[SessionKey] = None
 
@@ -345,6 +348,14 @@ class _Session:
     def _require_phase(self, expected: Phase) -> None:
         if self.phase is not expected:
             raise SessionError(f"operation requires phase {expected.name}, in {self.phase.name}")
+
+    def _establish(self, shared: Element) -> SessionKey:
+        """Hash the shared point into the session key; erases ephemerals."""
+        self.ops.hash += 1
+        self._key = derive_session_key(self.group, shared, self.zeta)
+        self.phase = Phase.KEY_ESTABLISHED
+        self._erase()
+        return self._key
 
     def _fail(self, reason: Reason) -> None:
         self.phase = Phase.FAILED
@@ -367,21 +378,23 @@ class _Session:
         """Feed one message; returns this party's replies.
 
         Failed sessions accept no further input; established sessions
-        only record a late verdict. A reject verdict fails the session,
+        only heed a late verdict. A reject verdict fails the session,
         erasing a key already derived, since the peer holds none.
-        Unexpected message types fail the session with an out-of-order
-        verdict.
+        A message of the wrong type, or one its step does not expect in
+        the current phase, fails the session with an out-of-order verdict.
         """
         if self.phase is Phase.FAILED:
             return []
         if isinstance(msg, Verdict):
-            self.peer_verdict = msg
             if not msg.accept:
                 self._fail(msg.reason or Reason.OUT_OF_ORDER)
             return []
         if self.phase is Phase.KEY_ESTABLISHED:
             return []
-        return self._dispatch(msg)
+        try:
+            return self._dispatch(msg)
+        except SessionError:
+            return self._out_of_order()
 
     def receive_bytes(self, raw: bytes) -> List[Message]:
         """Decode wire bytes and feed them; malformed bytes fail the session."""
@@ -463,23 +476,15 @@ class EntitySession(_Session):
         exponent = (self.keys.h_sp + self._r_p) % self.group.q
         shared = self.group.exp(self.twin_pk, exponent)
         self.ops.group_exp += 1
-        self.ops.hash += 1
-        self._key = derive_session_key(self.group, shared, self.zeta)
-        self.phase = Phase.KEY_ESTABLISHED
-        self._erase()
-        return self._key
+        return self._establish(shared)
 
     def _dispatch(self, msg: Message) -> List[Message]:
         if isinstance(msg, Commit):
-            if self.phase is not Phase.IDLE:
-                return self._out_of_order()
             try:
                 return [self.challenge(msg)]
             except VerificationFailure as vf:
                 return [Verdict(False, vf.reason)]
         if isinstance(msg, Response):
-            if self.phase is not Phase.CHALLENGED:
-                return self._out_of_order()
             if not self.verify_response(msg):
                 return [Verdict(False, Reason.BAD_PROOF)]
             proof = self.identity_proof()
@@ -562,20 +567,12 @@ class TwinSession(_Session):
         shared = self.group.exp(combined, self.twin.sk_d)
         self.ops.group_mul += 1
         self.ops.group_exp += 1
-        self.ops.hash += 1
-        self._key = derive_session_key(self.group, shared, self.zeta)
-        self.phase = Phase.KEY_ESTABLISHED
-        self._erase()
-        return self._key
+        return self._establish(shared)
 
     def _dispatch(self, msg: Message) -> List[Message]:
         if isinstance(msg, Challenge):
-            if self.phase is not Phase.COMMITMENT_SENT:
-                return self._out_of_order()
             return [self.respond(msg)]
         if isinstance(msg, IdentityProof):
-            if self.phase is not Phase.RESPONSE_SENT:
-                return self._out_of_order()
             if not self.verify_identity(msg):
                 return [Verdict(False, Reason.BAD_IDENTITY)]
             self.derive_key()

@@ -21,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple, Union
 
 from .adversary import (
@@ -35,6 +36,7 @@ from .groups import Group, get_group
 from .identity import EntityKeys, TwinKeyPair, derive_entity_keys, provision_identity, twin_keygen
 from .protocol import (
     EXCHANGE,
+    OP_NAMES,
     EntitySession,
     Message,
     OpCounts,
@@ -48,17 +50,15 @@ from .registration import BindingRecord, Registry
 
 HONEST = "honest"
 
-KIND_ORDER = (
-    AdversaryKind.REPLAY.value,
-    AdversaryKind.IMPERSONATE_TWIN.value,
-    AdversaryKind.MITM_TAMPER.value,
-    AdversaryKind.KCI_IMPERSONATE_PHYSICAL.value,
-)
+KIND_ORDER = tuple(kind.value for kind in AdversaryKind)
 
 DEFAULT_ENERGY_WEIGHTS = {"group_exp": 10.0, "group_mul": 1.0, "hash": 1.0}
 
 _BINDING_TIME = 1_700_000_000  # fixed registration timestamp for campaigns
 _WARMUP_SESSIONS = 3
+_op_counts = attrgetter(*OP_NAMES)  # an OpCounts' values, in OP_NAMES order
+# The types a report row may hold in each field that aggregates read; op counts are ints.
+_ROW_TYPES = {"accepted": (bool,), "auth_latency_ms": (int, float), "key_establish_ms": (int, float, type(None))}
 
 
 class ConfigError(ValueError):
@@ -185,7 +185,9 @@ class SessionMetrics:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SessionMetrics":
-        return cls(
+        """Rebuild a report row; a value of the wrong type is a TypeError
+        naming the row's index."""
+        m = cls(
             index=obj["index"],
             kind=obj["kind"],
             accepted=obj["accepted"],
@@ -196,6 +198,12 @@ class SessionMetrics:
             key_agreement=obj.get("key_agreement"),
             detail=obj.get("detail", ""),
         )
+        for name, types in _ROW_TYPES.items():
+            if type(getattr(m, name)) not in types:
+                raise TypeError(f"session {m.index!r}: {name} has the wrong type")
+        if set(map(type, _op_counts(m.ops_p) + _op_counts(m.ops_d))) != {int}:
+            raise TypeError(f"session {m.index!r}: ops has the wrong type")
+        return m
 
 
 @dataclass
@@ -218,19 +226,8 @@ class CampaignReport:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
-            [
-                "index",
-                "kind",
-                "accepted",
-                "auth_latency_ms",
-                "key_establish_ms",
-                "p_group_exp",
-                "p_group_mul",
-                "p_hash",
-                "d_group_exp",
-                "d_group_mul",
-                "d_hash",
-            ]
+            ["index", "kind", "accepted", "auth_latency_ms", "key_establish_ms"]
+            + [f"{party}_{op}" for party in "pd" for op in OP_NAMES]
         )
         for m in self.sessions:
             writer.writerow(
@@ -240,12 +237,7 @@ class CampaignReport:
                     str(m.accepted).lower(),
                     repr(m.auth_latency_ms),
                     "" if m.key_establish_ms is None else repr(m.key_establish_ms),
-                    m.ops_p.group_exp,
-                    m.ops_p.group_mul,
-                    m.ops_p.hash,
-                    m.ops_d.group_exp,
-                    m.ops_d.group_mul,
-                    m.ops_d.hash,
+                    *_op_counts(m.ops_p), *_op_counts(m.ops_d),
                 ]
             )
         return buf.getvalue()
@@ -369,7 +361,6 @@ def _run_honest(env: CampaignEnv, rng: random.Random, low: float, high: float) -
         "ops_p": p.ops,
         "ops_d": d.ops,
         "key_agreement": agree,
-        "detail": "",
     }
 
 
@@ -403,7 +394,6 @@ def _run_adversarial(
         "key_establish_ms": None,
         "ops_p": ops_p,
         "ops_d": ops_d,
-        "key_agreement": None,
         "detail": outcome.detail,
     }
 
@@ -460,33 +450,26 @@ def _p95(values: List[float]) -> Optional[float]:
 def compute_aggregates(metrics: List[SessionMetrics], weights: Dict[str, float]) -> dict:
     honest = [m for m in metrics if m.kind == HONEST]
     adversarial = [m for m in metrics if m.kind != HONEST]
-    kind_counts = {HONEST: len(honest)}
-    kind_accepted = {HONEST: sum(m.accepted for m in honest)}
-    far_by_kind: Dict[str, Optional[float]] = {}
-    for kind in KIND_ORDER:
+    kind_counts, kind_accepted = {}, {}
+    for kind in (HONEST, *KIND_ORDER):
         of_kind = [m for m in metrics if m.kind == kind]
         kind_counts[kind] = len(of_kind)
         kind_accepted[kind] = sum(m.accepted for m in of_kind)
-        far_by_kind[kind] = (
-            sum(m.accepted for m in of_kind) / len(of_kind) if of_kind else None
-        )
+    far_by_kind = {
+        kind: kind_accepted[kind] / kind_counts[kind] if kind_counts[kind] else None
+        for kind in KIND_ORDER
+    }
     latencies = [m.auth_latency_ms for m in metrics]
     key_times = [m.key_establish_ms for m in metrics if m.key_establish_ms is not None]
-    op_totals = {"group_exp": 0, "group_mul": 0, "hash": 0}
-    for m in metrics:
-        for ops in (m.ops_p, m.ops_d):
-            op_totals["group_exp"] += ops.group_exp
-            op_totals["group_mul"] += ops.group_mul
-            op_totals["hash"] += ops.hash
+    all_ops = [ops for m in metrics for ops in (m.ops_p, m.ops_d)]
+    op_totals = {op: sum(getattr(ops, op) for ops in all_ops) for op in OP_NAMES}
     return {
         "sessions": len(metrics),
         "honest_count": len(honest),
         "adversarial_count": len(adversarial),
         "kind_counts": kind_counts,
         "kind_accepted": kind_accepted,
-        "honest_accept_rate": (
-            sum(m.accepted for m in honest) / len(honest) if honest else None
-        ),
+        "honest_accept_rate": kind_accepted[HONEST] / len(honest) if honest else None,
         "key_agreement_rate": (
             sum(bool(m.key_agreement) for m in honest) / len(honest) if honest else None
         ),

@@ -202,24 +202,33 @@ _AUTHENTICATE = ("authenticate", "--entity-key", "keys/entity.key.json", "--twin
         (_REGISTER, "entity.pub.json", {"group": 3}, "group"),
         (_REGISTER, "entity.pub.json", {"pk_p": ["00"]}, "pk_p"),
         (_REGISTER, "twin.pub.json", {"pk_d": None}, "pk_d"),
+        (_AUTHENTICATE, "entity.key.json", {"group": "ed448"}, "group"),
+        (_AUTHENTICATE, "twin.key.json", {"sk_d": "0000000b"}, "sk_d"),
+        (_AUTHENTICATE, "twin.key.json", b"\xff\xfe", None),
+        (_REGISTER, "entity.pub.json", {"pk_p": "00000000"}, "pk_p"),
+        (_REGISTER, "twin.pub.json", {"pk_d": "00"}, "pk_d"),
+        (_REGISTER, "twin.pub.json", b"{not json", None),
     ],
 )
 def test_malformed_key_file_is_integrity_failure(run, keyfiles, command, name, edit, field):
     path = keyfiles / "keys" / name
-    if isinstance(edit, dict):
-        obj = json.loads(path.read_text())
-        for key, value in edit.items():
-            if value is None:
-                obj.pop(key)
-            else:
-                obj[key] = value
+    if isinstance(edit, bytes):
+        path.write_bytes(edit)
     else:
-        obj = edit
-    path.write_text(json.dumps(obj))
+        if isinstance(edit, dict):
+            obj = json.loads(path.read_text())
+            for key, value in edit.items():
+                if value is None:
+                    obj.pop(key)
+                else:
+                    obj[key] = value
+        else:
+            obj = edit
+        path.write_text(json.dumps(obj))
     code, _, err = run(*command)
     assert code == 3
     assert err.count("\n") == 1
-    assert name in err and repr(field) in err
+    assert name in err and (field is None or repr(field) in err)
     assert "Traceback" not in err
 
 
@@ -300,6 +309,25 @@ class TestSimulate:
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize(
+        "content, flags",
+        [
+            (b"[1]", ("--sessions", "5")),
+            (b"[1]", ()),
+            (b"{not json", ("--sessions", "5")),
+            (b"\xff\xfe", ("--sessions", "5")),
+        ],
+    )
+    def test_unreadable_or_non_object_config_is_config_error(self, run, tmp_path, content, flags):
+        (tmp_path / "f.json").write_bytes(content)
+        code, _, err = run("simulate", "--config", "f.json", "--group", "toy", *flags)
+        assert code == 1
+        assert "config" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report.csv").exists()
+
     def test_parallel_option_is_gone(self, run):
         code, _, err = run("simulate", "--sessions", "10", "--group", "toy", "--parallel", "2")
         assert code == 1
@@ -358,3 +386,31 @@ class TestReport:
         code, out, _ = run("report", "--in", str(report_file), "--format", "csv")
         assert code == 0
         assert out == (tmp_path / "camp.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "edit, names",
+        [
+            ({"auth_latency_ms": "x"}, ("session 0", "auth_latency_ms")),
+            ({"accepted": "yes"}, ("session 0", "accepted")),
+            ({"key_establish_ms": True}, ("session 0", "key_establish_ms")),
+            ({"ops": {"p": {"hash": "1"}, "d": {}}}, ("session 0", "ops")),
+            ({"aggregates": 5}, ("aggregates",)),
+            (b"{not json", ("camp.json",)),
+            (b"\xff\xfe", ("camp.json",)),
+        ],
+    )
+    def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
+        if isinstance(edit, bytes):
+            report_file.write_bytes(edit)
+        else:
+            obj = json.loads(report_file.read_text())
+            if "aggregates" in edit:
+                obj.update(edit)
+            else:
+                obj["sessions"][0].update(edit)
+            report_file.write_text(json.dumps(obj))
+        code, _, err = run("report", "--in", str(report_file))
+        assert code == 3
+        assert all(name in err for name in names)
+        assert err.count("\n") == 1
+        assert "Traceback" not in err

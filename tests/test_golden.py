@@ -5,12 +5,17 @@ groups. ``adv_ratio`` 0.5 with the default mix runs every attack kind, so
 the honest session, all four adversaries, the virtual clock and the report
 writers are covered. A digest changes only when the reports do; update it
 only for a deliberate change to the report format or the session rng draws.
+
+The CLI digests pin the four key files ``keygen`` writes for a fixed seed
+(the scalar codec writes ``sk_d``) and the stdout of ``authenticate`` in
+both modes (the scalar codec writes ``z`` there too).
 """
 
 import hashlib
 
 import pytest
 
+from przkbind.cli import main
 from przkbind.protocol import Response, TwinSession
 from przkbind.simulator import (
     HONEST,
@@ -40,6 +45,26 @@ GOLDEN = [
         "1b22051328fe0ccf752831896d05eff4b932fa91d3eb1beeb8c1f2ee75811d42",
     ),
 ]
+
+
+GOLDEN_CLI = {
+    "toy": {
+        "entity.pub.json": "7ba9d7e265eeef6ec35878f2147afc0c55f2340f9a8bc30600ca463efab412cf",
+        "entity.key.json": "ae1d57ec47475fe967c437441b940fc764209b4d31f423eae0932cdd604abd55",
+        "twin.pub.json": "74753efb2c9a5b7e3ea8f6b8128da361dc1763772141826dfeb99938940ed69c",
+        "twin.key.json": "30b1acbc52e461f81876db32933a9e6a9f749d05a8a2c297694d66d67f67ba74",
+        "authenticate": "6e138b4ca9907b8cb9946ab5b03f51d3a75f7fdb1c0ffc5a952bf0186933a96b",
+        "authenticate --fiat-shamir": "9bfdaf9caf4027e47e8c535d47c8d6f3b2999d78adef3b08430f9ad4561972e9",
+    },
+    "p256": {
+        "entity.pub.json": "bd3452df2ccb4f84473c6e0a03ac83b5c50e7fd104a5fd202a517668053bdbeb",
+        "entity.key.json": "58335e4c4949f65879e2145736b62c07b3a07406ebe188e221f4aa1fb7b48005",
+        "twin.pub.json": "129059e46854468ba19116693ae8f7bc75155b150f3799c33d380d90bdb2ebfe",
+        "twin.key.json": "ec005e24edbe8bc6219ee22949555781f8ea25cea5f0dea4a826f4631bc2007b",
+        "authenticate": "07b04985f67f94c1371172d291c36402061018e6a5f2393ec341d15f59da329e",
+        "authenticate --fiat-shamir": "3a33c7ad85978296d959fbb7e7e1953ad47479edd07630238442f105462e2c0c",
+    },
+}
 
 
 def _sha256(text: str) -> str:
@@ -73,3 +98,22 @@ def test_derailed_honest_session_raises(monkeypatch):
         run_session(cfg, HONEST, _spawn_rng(5, "session/0"), env)
     with pytest.raises(SimulationError):
         run_campaign(cfg)
+
+
+@pytest.mark.parametrize("group_id", sorted(GOLDEN_CLI))
+def test_golden_cli_digests(group_id, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["keygen", "--seed", "golden", "--group", group_id, "--out", "keys"]) == 0
+    assert main(["register", "--entity-pub", "keys/entity.pub.json", "--twin-pub",
+                 "keys/twin.pub.json", "--registry", "reg.ndjson", "--time", "1700000000"]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / "keys" / name).read_bytes()).hexdigest()
+        for name in ("entity.pub.json", "entity.key.json", "twin.pub.json", "twin.key.json")
+    }
+    authenticate = ["authenticate", "--entity-key", "keys/entity.key.json", "--twin-key",
+                    "keys/twin.key.json", "--registry", "reg.ndjson"]
+    for extra in ([], ["--fiat-shamir"]):
+        capsys.readouterr()
+        assert main(authenticate + extra) == 0
+        digests[" ".join(["authenticate", *extra])] = _sha256(capsys.readouterr().out)
+    assert digests == GOLDEN_CLI[group_id]

@@ -3,8 +3,6 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from przkbind.groups import (
     GroupError,
@@ -12,12 +10,9 @@ from przkbind.groups import (
     hash_h1_bytes,
     hash_h2,
     hash_to_scalar,
-    scalar_add,
     scalar_inv,
-    scalar_mul,
     scalar_random,
     scalar_random_nonzero,
-    scalar_sub,
 )
 
 TOY_MEMBERS = sorted(pow(2, k, 23) for k in range(11))
@@ -119,32 +114,11 @@ class TestScalars:
         for c in counts:
             assert abs(c - expected) <= bound
 
-    def test_arithmetic_matches_wide_integer_oracle(self, toy):
-        rng = random.Random(11)
-        for _ in range(1000):
-            a, b = rng.randrange(11), rng.randrange(11)
-            op = rng.choice(["add", "sub", "mul"])
-            if op == "add":
-                assert scalar_add(toy, a, b) == (a + b) % 11
-            elif op == "sub":
-                assert scalar_sub(toy, a, b) == (a - b) % 11
-            else:
-                assert scalar_mul(toy, a, b) == (a * b) % 11
-
     def test_inverse(self, toy):
         for a in range(1, 11):
-            assert scalar_mul(toy, a, scalar_inv(toy, a)) == 1
+            assert a * scalar_inv(toy, a) % toy.q == 1
         with pytest.raises(GroupError):
             scalar_inv(toy, 0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 10), st.integers(0, 10), st.integers(0, 10))
-    def test_modular_ring_laws(self, a, b, c):
-        toy = get_group("toy")
-        assert scalar_add(toy, a, b) == scalar_add(toy, b, a)
-        assert scalar_mul(toy, a, scalar_add(toy, b, c)) == scalar_add(
-            toy, scalar_mul(toy, a, b), scalar_mul(toy, a, c)
-        )
 
 
 class TestHashes:

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import przkbind.protocol as protocol
 import przkbind.registration as registration
-from przkbind.protocol import OpCounts
+from przkbind.groups import P256Group, ToyGroup
+from przkbind.protocol import OP_NAMES, OpCounts
 from przkbind.simulator import (
     HONEST,
     KIND_ORDER,
@@ -123,6 +125,33 @@ class TestSessions:
             "hash": m.ops_p.hash + m.ops_d.hash,
         }
         assert energy_proxy(totals, {"group_exp": 10, "group_mul": 1, "hash": 1}) == 75.0
+
+    @pytest.mark.parametrize("group_id, per_kind", [("toy", 40), ("p256", 3)])
+    def test_logical_op_counts_equal_group_calls(self, monkeypatch, group_id, per_kind):
+        # the hand-written tallies must match the work the group layer did
+        cfg = CampaignConfig(sessions=1, group_id=group_id, rng_seed=9)
+        env = build_env(cfg)
+        calls = dict.fromkeys(OP_NAMES, 0)
+
+        def counting(fn, op):
+            def wrapper(*args):
+                calls[op] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for cls in (ToyGroup, P256Group):
+            monkeypatch.setattr(cls, "exp", counting(cls.exp, "group_exp"))
+            monkeypatch.setattr(cls, "mul", counting(cls.mul, "group_mul"))
+        for name in ("hash_to_scalar", "hash_h1_bytes"):
+            monkeypatch.setattr(protocol, name, counting(getattr(protocol, name), "hash"))
+        for kind in (HONEST, *KIND_ORDER):
+            for i in range(per_kind):
+                before = dict(calls)
+                m = run_session(cfg, kind, _spawn_rng(i, kind), env)
+                done = {op: calls[op] - before[op] for op in OP_NAMES}
+                logical = {op: getattr(m.ops_p, op) + getattr(m.ops_d, op) for op in OP_NAMES}
+                assert done == logical, (kind, i)
 
 
 class TestEnergyProxy:
