@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional
 
-from .groups import Element, Group, scalar_random, scalar_random_nonzero
+from .groups import Element, scalar_random, scalar_random_nonzero
 from .protocol import (
     Challenge,
     Commit,
@@ -88,7 +88,7 @@ def _forge_proof(target: EntitySession, alpha: Element, answer, ops: OpCounts, w
     return AttackOutcome(verdict, 3, ops)
 
 
-def attack_replay(ctx: AttackContext, target: EntitySession, rng) -> AttackOutcome:
+def attack_replay(ctx: AttackContext, rng, target: EntitySession) -> AttackOutcome:
     """Replay a recorded commitment and response against a fresh verifier.
 
     Succeeds only if the fresh challenge collides with the recorded one,
@@ -146,33 +146,24 @@ def attack_kci(ctx: AttackContext, rng, target: TwinSession) -> AttackOutcome:
 
 # -- MITM tampering -----------------------------------------------------------
 
-# The would-be honest session carries these five in-flight messages.
-MITM_SLOTS = EXCHANGE
+_HEADER_BITS = 5 * 8  # the wire tag and payload length
 
-# Fields whose verification binds them; flips elsewhere (the ephemeral
-# share, the closing verdict) are disruption, not credential forgery.
-_CREDENTIAL_SLOTS = frozenset({"commit", "challenge", "response", "identity_proof"})
+# Each in-flight message of the would-be honest session -> (the party whose
+# check binds it, how many of its leading encoded bits it binds in a group).
+# Later bits (the ephemeral share, the verdict) are disruption, not forgery.
+MITM_SLOTS = {
+    "commit": ("entity", lambda group: _HEADER_BITS + 8 * group.element_size),
+    "challenge": ("entity", lambda group: _HEADER_BITS + 8 * group.scalar_size),
+    "response": ("entity", lambda group: _HEADER_BITS + 8 * group.scalar_size),
+    "identity_proof": ("twin", lambda group: _HEADER_BITS + 8 * group.scalar_size),
+    "verdict": (None, lambda group: 0),
+}
 
 
 def _flip_bit(data: bytes, bit_index: int) -> bytes:
     out = bytearray(data)
     out[bit_index // 8] ^= 1 << (7 - bit_index % 8)
     return bytes(out)
-
-
-def _is_credential_bit(group: Group, slot: str, bit_index: int) -> bool:
-    """True if the flipped bit lands in a credential field.
-
-    For the identity-proof message only the h_sp bytes are credential;
-    the trailing ephemeral share is key material the identity check does
-    not bind.
-    """
-    if slot not in _CREDENTIAL_SLOTS:
-        return False
-    if slot != "identity_proof":
-        return True
-    header_bits = 5 * 8
-    return bit_index < header_bits + group.scalar_size * 8
 
 
 def attack_mitm_tamper(
@@ -191,8 +182,8 @@ def attack_mitm_tamper(
     still established a key.
     """
     group = entity.group
-    slot = rng.randrange(len(MITM_SLOTS)) if slot is None else slot
-    slot_name = MITM_SLOTS[slot]
+    slot = rng.randrange(len(EXCHANGE)) if slot is None else slot
+    slot_name = EXCHANGE[slot]
     tampered_bit = bit
     tampered = False
     messages = 0
@@ -211,11 +202,11 @@ def attack_mitm_tamper(
 
     pump(entity, twin, hop)
 
-    verifier = entity if slot_name in ("commit", "challenge", "response") else twin
+    party, credential_bits = MITM_SLOTS[slot_name]
     accepted = (
         tampered_bit is not None
-        and _is_credential_bit(group, slot_name, tampered_bit)
-        and verifier.phase is Phase.KEY_ESTABLISHED
+        and tampered_bit < credential_bits(group)
+        and {"entity": entity, "twin": twin}[party].phase is Phase.KEY_ESTABLISHED
     )
     detail = f"slot={slot_name} bit={tampered_bit}"
     if slot_name == "verdict":

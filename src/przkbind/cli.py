@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import stat
 import sys
 import time
 from functools import partial
@@ -42,6 +41,7 @@ from .registration import (
     RegistryIOError,
     load_registry,
     save_registry,
+    write_atomic,
 )
 from .simulator import (
     HONEST,
@@ -61,12 +61,6 @@ CONFIG_ENV_VAR = "PRZKBIND_CONFIG"
 
 class IntegrityFailure(Exception):
     """A verification step or stored-aggregate cross-check failed."""
-
-
-def _write_json(path: Path, obj: dict, secret: bool = False) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    if secret:
-        path.chmod(stat.S_IRUSR | stat.S_IWUSR)
 
 
 def _load_json(path: Path, error: Callable[[str], Exception]):
@@ -130,7 +124,7 @@ def keygen(seed: str, group_id: str, out_dir: Path) -> None:
         "twin.key.json": ({"group": gid, "sk_d": group.encode_scalar(twin.sk_d).hex()}, True),
     }
     for name, (obj, secret) in files.items():
-        _write_json(out_dir / name, obj, secret)
+        write_atomic(out_dir / name, json.dumps(obj, indent=2) + "\n", secret)
         click.echo(f"wrote {out_dir / name}" + (" (secret, permissions 0600)" if secret else ""))
 
 
@@ -282,10 +276,10 @@ def simulate(config_path, sessions, adv_ratio, latency, seed, group_id, mix, out
 
     json_path = Path(f"{out_prefix}.json")
     csv_path = Path(f"{out_prefix}.csv")
-    json_path.write_text(report.to_json(), encoding="utf-8")
-    csv_path.write_text(report.to_csv(), encoding="utf-8")
+    write_atomic(json_path, report.to_json())
+    write_atomic(csv_path, report.to_csv())
 
-    _echo_summary(report.config, report.aggregates)
+    _echo_summary(report.aggregates)
     click.echo(f"wrote {json_path} and {csv_path}")
 
 
@@ -297,14 +291,17 @@ def _fmt_ms(value) -> str:
     return "n/a" if value is None else f"{value:.3f} ms"
 
 
-def _echo_summary(config: CampaignConfig, agg: dict) -> None:
+def _by_kind(agg: dict, kinds):
+    """(kind, attempts, accepted) for each of the given kinds."""
+    return [(kind, agg["kind_counts"][kind], agg["kind_accepted"][kind]) for kind in kinds]
+
+
+def _echo_summary(agg: dict) -> None:
     click.echo(f"{'sessions':<24}{agg['sessions']}")
     click.echo(f"{'honest / adversarial':<24}{agg['honest_count']} / {agg['adversarial_count']}")
     click.echo(f"{'honest acceptance':<24}{_fmt_rate(agg['honest_accept_rate'])}")
     click.echo(f"{'FAR (overall)':<24}{_fmt_rate(agg['far'])}")
-    for kind in KIND_ORDER:
-        attempts = agg["kind_counts"].get(kind, 0)
-        accepted = agg["kind_accepted"].get(kind, 0)
+    for kind, attempts, accepted in _by_kind(agg, KIND_ORDER):
         click.echo(f"  {kind:<22}{accepted}/{attempts}")
     click.echo(f"{'mean auth latency':<24}{_fmt_ms(agg['mean_auth_latency_ms'])} (virtual)")
     click.echo(f"{'p95 auth latency':<24}{_fmt_ms(agg['p95_auth_latency_ms'])} (virtual)")
@@ -325,7 +322,7 @@ def report(in_path: Path, fmt: str) -> None:
         stored = obj["aggregates"]
         if not isinstance(stored, dict):
             raise TypeError("aggregates is not an object")
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise IntegrityFailure(f"malformed report file: {exc}") from exc
     recomputed = compute_aggregates(metrics, config.energy_weights)
     for metric, value in recomputed.items():
@@ -339,9 +336,7 @@ def report(in_path: Path, fmt: str) -> None:
         click.echo(rebuilt.to_json() if fmt == "json" else rebuilt.to_csv(), nl=False)
     else:
         click.echo(f"{'kind':<26}{'sessions':>10}{'accepted':>10}{'rate':>10}")
-        for kind in (HONEST, *KIND_ORDER):
-            attempts = recomputed["kind_counts"].get(kind, 0)
-            accepted = recomputed["kind_accepted"].get(kind, 0)
+        for kind, attempts, accepted in _by_kind(recomputed, (HONEST, *KIND_ORDER)):
             rate = f"{accepted / attempts * 100:.2f}%" if attempts else "n/a"
             click.echo(f"{kind:<26}{attempts:>10}{accepted:>10}{rate:>10}")
         click.echo(f"{'FAR (overall)':<26}{_fmt_rate(recomputed['far']):>30}")

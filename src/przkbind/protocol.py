@@ -34,7 +34,8 @@ import json
 import struct
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, ClassVar, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from .groups import (
     Element,
@@ -163,25 +164,28 @@ OP_NAMES = tuple(f.name for f in fields(OpCounts))
 # -- wire format ----------------------------------------------------------
 # 1-byte tag | 4-byte big-endian payload length | field encodings in order.
 
-TAG_COMMIT = 0x01
-TAG_CHALLENGE = 0x02
-TAG_RESPONSE = 0x03
-TAG_IDENTITY_PROOF = 0x04
-TAG_VERDICT = 0x05
+# WIRE, the format's one definition: message class -> (tag, its fields' kinds),
+# a kind mapping a group to the field's (encoder, decoder, size). The verdict,
+# an accept flag and a reason byte (0 for none), is the one message outside it.
+_ELEMENT = attrgetter("encode", "decode", "element_size")
+_SCALAR = attrgetter("encode_scalar", "decode_scalar", "scalar_size")
+
+WIRE = {
+    Commit: (0x01, (_ELEMENT,)),
+    Challenge: (0x02, (_SCALAR,)),
+    Response: (0x03, (_SCALAR,)),
+    IdentityProof: (0x04, (_SCALAR, _ELEMENT)),
+}
+_VERDICT_TAG = 0x05
+_BY_TAG = {tag: (cls, kinds) for cls, (tag, kinds) in WIRE.items()}
 
 
 def encode_message(group: Group, msg: Message) -> bytes:
-    if isinstance(msg, Commit):
-        tag, payload = TAG_COMMIT, group.encode(msg.alpha)
-    elif isinstance(msg, Challenge):
-        tag, payload = TAG_CHALLENGE, group.encode_scalar(msg.c)
-    elif isinstance(msg, Response):
-        tag, payload = TAG_RESPONSE, group.encode_scalar(msg.z)
-    elif isinstance(msg, IdentityProof):
-        tag = TAG_IDENTITY_PROOF
-        payload = group.encode_scalar(msg.h_sp) + group.encode(msg.r_p_pub)
+    if type(msg) in WIRE:
+        tag, kinds = WIRE[type(msg)]
+        payload = b"".join([kind(group)[0](value) for kind, value in zip(kinds, vars(msg).values())])
     elif isinstance(msg, Verdict):
-        tag = TAG_VERDICT
+        tag = _VERDICT_TAG
         payload = bytes([1 if msg.accept else 0, msg.reason.value if msg.reason else 0])
     else:
         raise WireError(f"unknown message type: {type(msg).__name__}")
@@ -191,46 +195,33 @@ def encode_message(group: Group, msg: Message) -> bytes:
 def decode_message(group: Group, data: bytes) -> Message:
     if len(data) < 5:
         raise WireError("truncated message header")
-    tag = data[0]
+    tag, payload = data[0], data[5:]
     (length,) = struct.unpack(">I", data[1:5])
-    payload = data[5:]
     if len(payload) != length:
         raise WireError("payload length mismatch")
-    try:
-        if tag == TAG_COMMIT:
-            _expect_len(payload, group.element_size)
-            return Commit(group.decode(payload))
-        if tag == TAG_CHALLENGE:
-            _expect_len(payload, group.scalar_size)
-            return Challenge(group.decode_scalar(payload))
-        if tag == TAG_RESPONSE:
-            _expect_len(payload, group.scalar_size)
-            return Response(group.decode_scalar(payload))
-        if tag == TAG_IDENTITY_PROOF:
-            _expect_len(payload, group.scalar_size + group.element_size)
-            h_sp = group.decode_scalar(payload[: group.scalar_size])
-            r_p_pub = group.decode(payload[group.scalar_size:])
-            return IdentityProof(h_sp, r_p_pub)
-        if tag == TAG_VERDICT:
-            _expect_len(payload, 2)
-            accept = payload[0] == 1
-            if payload[0] not in (0, 1):
-                raise WireError("bad verdict flag")
-            reason = None
-            if payload[1]:
-                try:
-                    reason = Reason(payload[1])
-                except ValueError:
-                    raise WireError("bad verdict reason") from None
-            return Verdict(accept, reason)
+    if tag == _VERDICT_TAG:
+        if length != 2:
+            raise WireError(f"bad payload size: {length} != 2")
+        if payload[0] not in (0, 1):
+            raise WireError("bad verdict flag")
+        try:
+            return Verdict(payload[0] == 1, Reason(payload[1]) if payload[1] else None)
+        except ValueError:
+            raise WireError("bad verdict reason") from None
+    if tag not in _BY_TAG:
+        raise WireError(f"unknown message tag: {tag:#x}")
+    cls, kinds = _BY_TAG[tag]
+    values, start = [], 0
+    try:  # each decoder rejects a slice of the wrong size, so a short payload fails here
+        for kind in kinds:
+            _, decode, size = kind(group)
+            values.append(decode(payload[start:start + size]))
+            start += size
     except GroupError as exc:
         raise WireError(str(exc)) from exc
-    raise WireError(f"unknown message tag: {tag:#x}")
-
-
-def _expect_len(payload: bytes, size: int) -> None:
-    if len(payload) != size:
-        raise WireError(f"bad payload size: {len(payload)} != {size}")
+    if start != length:
+        raise WireError(f"bad payload size: {length} != {start}")
+    return cls(*values)
 
 
 # -- pure relations --------------------------------------------------------
@@ -329,6 +320,9 @@ class Transcript:
 class _Session:
     """State shared by both parties' machines."""
 
+    # Phase -> the reason malformed wire bytes fail the session with; else OUT_OF_ORDER.
+    MALFORMED_REASON: ClassVar[Dict[Phase, Reason]] = {}
+
     def __init__(self, group: Group, binding: BindingRecord, rng):
         if not verify_record(group, binding):
             raise BindingMismatch("binding record fails zeta recomputation")
@@ -357,11 +351,13 @@ class _Session:
         self._erase()
         return self._key
 
-    def _fail(self, reason: Reason) -> None:
+    def _fail(self, reason: Reason) -> List[Message]:
+        """Fail the session; returns the reject verdict to send the peer."""
         self.phase = Phase.FAILED
         self.failure = reason
         self._key = None
         self._erase()
+        return [Verdict(False, reason)]
 
     def timeout(self) -> None:
         """Simulator-injected timeout event; terminal unless already done."""
@@ -381,7 +377,8 @@ class _Session:
         only heed a late verdict. A reject verdict fails the session,
         erasing a key already derived, since the peer holds none.
         A message of the wrong type, or one its step does not expect in
-        the current phase, fails the session with an out-of-order verdict.
+        the current phase, fails the session with an out-of-order verdict;
+        a step's own VerificationFailure is answered with its reason.
         """
         if self.phase is Phase.FAILED:
             return []
@@ -394,7 +391,9 @@ class _Session:
         try:
             return self._dispatch(msg)
         except SessionError:
-            return self._out_of_order()
+            return self._fail(Reason.OUT_OF_ORDER)
+        except VerificationFailure as vf:
+            return self._fail(vf.reason)
 
     def receive_bytes(self, raw: bytes) -> List[Message]:
         """Decode wire bytes and feed them; malformed bytes fail the session."""
@@ -403,25 +402,18 @@ class _Session:
         except WireError:
             if self.phase.terminal:
                 return []
-            reason = self._malformed_reason()
-            self._fail(reason)
-            return [Verdict(False, reason)]
+            return self._fail(self.MALFORMED_REASON.get(self.phase, Reason.OUT_OF_ORDER))
         return self.receive(msg)
 
     def _dispatch(self, msg: Message) -> List[Message]:
         raise NotImplementedError
 
-    def _out_of_order(self) -> List[Message]:
-        self._fail(Reason.OUT_OF_ORDER)
-        return [Verdict(False, Reason.OUT_OF_ORDER)]
-
-    def _malformed_reason(self) -> Reason:
-        return Reason.OUT_OF_ORDER
-
 
 class EntitySession(_Session):
     """Physical-entity side: challenges the twin's proof, then proves its
     own identity and contributes the ephemeral key share."""
+
+    MALFORMED_REASON = {Phase.IDLE: Reason.DEGENERATE_COMMITMENT, Phase.CHALLENGED: Reason.BAD_PROOF}
 
     def __init__(self, group: Group, keys: EntityKeys, binding: BindingRecord, rng):
         super().__init__(group, binding, rng)
@@ -480,17 +472,14 @@ class EntitySession(_Session):
 
     def _dispatch(self, msg: Message) -> List[Message]:
         if isinstance(msg, Commit):
-            try:
-                return [self.challenge(msg)]
-            except VerificationFailure as vf:
-                return [Verdict(False, vf.reason)]
+            return [self.challenge(msg)]
         if isinstance(msg, Response):
             if not self.verify_response(msg):
                 return [Verdict(False, Reason.BAD_PROOF)]
             proof = self.identity_proof()
             self.derive_key()
             return [proof]
-        return self._out_of_order()
+        return self._fail(Reason.OUT_OF_ORDER)
 
     def _erase(self) -> None:
         self._r_p = None
@@ -498,17 +487,12 @@ class EntitySession(_Session):
     def ephemeral_debug(self) -> str:
         return "erased" if self._r_p is None else "held"
 
-    def _malformed_reason(self) -> Reason:
-        if self.phase is Phase.IDLE:
-            return Reason.DEGENERATE_COMMITMENT
-        if self.phase is Phase.CHALLENGED:
-            return Reason.BAD_PROOF
-        return Reason.OUT_OF_ORDER
-
 
 class TwinSession(_Session):
     """Digital-twin side: proves knowledge of sk_d, verifies the entity's
     identity hash, and derives the session key from the ephemeral share."""
+
+    MALFORMED_REASON = {Phase.RESPONSE_SENT: Reason.BAD_IDENTITY}
 
     def __init__(self, group: Group, twin: TwinKeyPair, binding: BindingRecord, rng):
         super().__init__(group, binding, rng)
@@ -536,10 +520,12 @@ class TwinSession(_Session):
         return Commit(alpha)
 
     def respond(self, ch: Challenge) -> Response:
-        """Answer the challenge with z = r + c * sk_d; r is erased."""
+        """Answer the challenge with z = r + c * sk_d; r is erased. A
+        challenge outside [0, q) fails the session, as its encoding would."""
         self._require_phase(Phase.COMMITMENT_SENT)
         if not 0 <= ch.c < self.group.q:
-            raise GroupError(f"challenge scalar out of range: {ch.c}")
+            self._fail(Reason.OUT_OF_ORDER)
+            raise VerificationFailure(Reason.OUT_OF_ORDER, f"challenge scalar out of range: {ch.c}")
         z = schnorr_response(self.group, self._r, ch.c, self.twin.sk_d)
         self._r = None
         self.phase = Phase.RESPONSE_SENT
@@ -577,18 +563,13 @@ class TwinSession(_Session):
                 return [Verdict(False, Reason.BAD_IDENTITY)]
             self.derive_key()
             return [Verdict(True)]
-        return self._out_of_order()
+        return self._fail(Reason.OUT_OF_ORDER)
 
     def _erase(self) -> None:
         self._r = None
 
     def ephemeral_debug(self) -> str:
         return "erased" if self._r is None else "held"
-
-    def _malformed_reason(self) -> Reason:
-        if self.phase is Phase.RESPONSE_SENT:
-            return Reason.BAD_IDENTITY
-        return Reason.OUT_OF_ORDER
 
 
 def deliver(recipient: _Session, msg: Message) -> List[Message]:

@@ -13,6 +13,7 @@ the group's canonical encodings, ``t`` an unsigned 64-bit integer.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -135,10 +136,25 @@ def _record_from_json(group: Group, line: str) -> BindingRecord:
     )
 
 
+def write_atomic(path: Union[str, Path], text: str, secret: bool = False) -> None:
+    """Replace ``path`` by ``text`` via a synced temporary file beside it, made
+    with its final mode: a failure leaves the old file, a secret stays 0600."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600 if secret else 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_registry(registry: Registry, path: Union[str, Path]) -> None:
-    path = Path(path)
     lines = [_record_to_json(registry.group, rec) for rec in registry]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def load_registry(group: Group, path: Union[str, Path]) -> Registry:

@@ -367,33 +367,27 @@ def _run_honest(env: CampaignEnv, rng: random.Random, low: float, high: float) -
 def _run_adversarial(
     env: CampaignEnv, kind: str, rng: random.Random, low: float, high: float
 ) -> dict:
-    group = env.group
-    if kind == AdversaryKind.REPLAY.value:
-        target = EntitySession(group, env.entity_keys, env.record, rng)
-        outcome = attack_replay(env.replay_ctx, target, rng)
-        ops_p, ops_d = target.ops, outcome.ops
-    elif kind == AdversaryKind.IMPERSONATE_TWIN.value:
-        target = EntitySession(group, env.entity_keys, env.record, rng)
-        outcome = attack_impersonate_twin(env.public_ctx, rng, target)
-        ops_p, ops_d = target.ops, outcome.ops
-    elif kind == AdversaryKind.KCI_IMPERSONATE_PHYSICAL.value:
-        target = TwinSession(group, env.twin, env.record, rng)
-        outcome = attack_kci(env.kci_ctx, rng, target)
-        ops_p, ops_d = outcome.ops, target.ops
-    elif kind == AdversaryKind.MITM_TAMPER.value:
-        p = EntitySession(group, env.entity_keys, env.record, rng)
-        d = TwinSession(group, env.twin, env.record, rng)
-        outcome = attack_mitm_tamper(env.public_ctx, rng, p, d)
-        ops_p, ops_d = p.ops, d.ops
-    else:
+    # kind -> (attack, its context, the sessions it attacks: entity P, twin D
+    # or both). Built per call, so an attack rebound on this module runs.
+    attacks = {
+        AdversaryKind.REPLAY.value: (attack_replay, env.replay_ctx, "p"),
+        AdversaryKind.IMPERSONATE_TWIN.value: (attack_impersonate_twin, env.public_ctx, "p"),
+        AdversaryKind.MITM_TAMPER.value: (attack_mitm_tamper, env.public_ctx, "pd"),
+        AdversaryKind.KCI_IMPERSONATE_PHYSICAL.value: (attack_kci, env.kci_ctx, "d"),
+    }
+    if kind not in attacks:
         raise SimulationError(f"unknown session kind: {kind!r}")
+    attack, ctx, sides = attacks[kind]
+    p = EntitySession(env.group, env.entity_keys, env.record, rng) if "p" in sides else None
+    d = TwinSession(env.group, env.twin, env.record, rng) if "d" in sides else None
+    outcome = attack(ctx, rng, *(session for session in (p, d) if session is not None))
     clock = sum(rng.uniform(low, high) for _ in range(outcome.messages))
-    return {
+    return {  # the attacker's tally stands in for the party it plays
         "accepted": outcome.verdict.accept,
         "auth_latency_ms": clock,
         "key_establish_ms": None,
-        "ops_p": ops_p,
-        "ops_d": ops_d,
+        "ops_p": p.ops if p else outcome.ops,
+        "ops_d": d.ops if d else outcome.ops,
         "detail": outcome.detail,
     }
 
@@ -449,12 +443,13 @@ def _p95(values: List[float]) -> Optional[float]:
 
 def compute_aggregates(metrics: List[SessionMetrics], weights: Dict[str, float]) -> dict:
     honest = [m for m in metrics if m.kind == HONEST]
-    adversarial = [m for m in metrics if m.kind != HONEST]
     kind_counts, kind_accepted = {}, {}
     for kind in (HONEST, *KIND_ORDER):
         of_kind = [m for m in metrics if m.kind == kind]
         kind_counts[kind] = len(of_kind)
         kind_accepted[kind] = sum(m.accepted for m in of_kind)
+    adversarial_count = sum(kind_counts[kind] for kind in KIND_ORDER)
+    adversarial_accepted = sum(kind_accepted[kind] for kind in KIND_ORDER)
     far_by_kind = {
         kind: kind_accepted[kind] / kind_counts[kind] if kind_counts[kind] else None
         for kind in KIND_ORDER
@@ -466,16 +461,14 @@ def compute_aggregates(metrics: List[SessionMetrics], weights: Dict[str, float])
     return {
         "sessions": len(metrics),
         "honest_count": len(honest),
-        "adversarial_count": len(adversarial),
+        "adversarial_count": adversarial_count,
         "kind_counts": kind_counts,
         "kind_accepted": kind_accepted,
         "honest_accept_rate": kind_accepted[HONEST] / len(honest) if honest else None,
         "key_agreement_rate": (
             sum(bool(m.key_agreement) for m in honest) / len(honest) if honest else None
         ),
-        "far": (
-            sum(m.accepted for m in adversarial) / len(adversarial) if adversarial else None
-        ),
+        "far": adversarial_accepted / adversarial_count if adversarial_count else None,
         "far_by_kind": far_by_kind,
         "mean_auth_latency_ms": sum(latencies) / len(latencies) if latencies else None,
         "p95_auth_latency_ms": _p95(latencies),

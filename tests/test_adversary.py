@@ -48,7 +48,7 @@ class TestReplay:
     def test_empty_transcript_store_is_an_error(self, toy_env):
         ctx = AttackContext(pk_p=13, pk_d=8, zeta=toy_env["record"].zeta)
         with pytest.raises(AttackError):
-            attack_replay(ctx, entity(toy_env), random.Random(0))
+            attack_replay(ctx, random.Random(0), entity(toy_env))
 
     def test_accepted_exactly_on_challenge_collision(self, toy_env):
         # the replayed response satisfies the equation iff the fresh
@@ -58,7 +58,7 @@ class TestReplay:
         hits = 0
         for seed in range(400):
             target = entity(toy_env, 100 + seed)
-            outcome = attack_replay(ctx, target, random.Random(seed))
+            outcome = attack_replay(ctx, random.Random(seed), target)
             collided = target._c == recorded.c
             assert outcome.verdict.accept is collided
             hits += outcome.verdict.accept
@@ -69,7 +69,7 @@ class TestReplay:
         ctx = recorded_context(toy_env)
         for seed in range(50):
             target = entity(toy_env, 500 + seed)
-            outcome = attack_replay(ctx, target, random.Random(seed))
+            outcome = attack_replay(ctx, random.Random(seed), target)
             if not outcome.verdict.accept:
                 assert outcome.verdict.reason is Reason.BAD_PROOF
                 assert target.phase is Phase.FAILED
@@ -79,7 +79,7 @@ class TestReplay:
     def test_production_replays_never_accepted(self, p256_env):
         ctx = recorded_context(p256_env)
         for seed in range(60):
-            outcome = attack_replay(ctx, entity(p256_env, 700 + seed), random.Random(seed))
+            outcome = attack_replay(ctx, random.Random(seed), entity(p256_env, 700 + seed))
             assert not outcome.verdict.accept
 
 

@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import stat
 
 import pytest
@@ -49,6 +51,36 @@ class TestKeygen:
         assert run("keygen", "--seed", "s9", "--group", "p256", "--out", "d")[0] == 0
         for name in ("entity.key.json", "twin.key.json"):
             assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "d" / name).read_bytes()
+
+    def test_secret_files_never_created_readable_by_others(self, run, tmp_path, monkeypatch):
+        # record each key file's mode the moment any open call creates it
+        real_open, real_io_open = os.open, io.open
+        modes = []
+
+        def note(name, fd):
+            if "key.json" in os.fspath(name):
+                modes.append(stat.S_IMODE(os.fstat(fd).st_mode))
+
+        def os_open(name, flags, mode=0o777, **kwargs):
+            fd = real_open(name, flags, mode, **kwargs)
+            note(name, fd)
+            return fd
+
+        def io_open(name, *args, **kwargs):
+            fh = real_io_open(name, *args, **kwargs)
+            if not isinstance(name, int):
+                note(name, fh.fileno())
+            return fh
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(io, "open", io_open)
+        old_umask = os.umask(0o022)
+        try:
+            assert run("keygen", "--seed", "s3", "--group", "toy", "--out", "k")[0] == 0
+        finally:
+            os.umask(old_umask)
+        assert len(modes) >= 2
+        assert all(mode & 0o077 == 0 for mode in modes)
 
     def test_secret_files_restricted_and_flagged(self, run, tmp_path):
         code, out, _ = run("keygen", "--seed", "s2", "--group", "toy", "--out", "k")
@@ -397,6 +429,8 @@ class TestReport:
             ({"aggregates": 5}, ("aggregates",)),
             (b"{not json", ("camp.json",)),
             (b"\xff\xfe", ("camp.json",)),
+            ({"config": "x"}, ("config",)),
+            ({"config": {"sessions": "x"}}, ("sessions",)),
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
@@ -404,7 +438,7 @@ class TestReport:
             report_file.write_bytes(edit)
         else:
             obj = json.loads(report_file.read_text())
-            if "aggregates" in edit:
+            if edit.keys() & {"aggregates", "config"}:
                 obj.update(edit)
             else:
                 obj["sessions"][0].update(edit)

@@ -9,6 +9,10 @@ only for a deliberate change to the report format or the session rng draws.
 The CLI digests pin the four key files ``keygen`` writes for a fixed seed
 (the scalar codec writes ``sk_d``) and the stdout of ``authenticate`` in
 both modes (the scalar codec writes ``z`` there too).
+
+The wire digests pin ``encode_message`` of every message type, with a
+verdict for each reason. Round-trip tests cannot catch a change, such as a
+field-order swap, that encoder and decoder share.
 """
 
 import hashlib
@@ -16,7 +20,17 @@ import hashlib
 import pytest
 
 from przkbind.cli import main
-from przkbind.protocol import Response, TwinSession
+from przkbind.groups import get_group
+from przkbind.protocol import (
+    Challenge,
+    Commit,
+    IdentityProof,
+    Reason,
+    Response,
+    TwinSession,
+    Verdict,
+    encode_message,
+)
 from przkbind.simulator import (
     HONEST,
     KIND_ORDER,
@@ -64,6 +78,11 @@ GOLDEN_CLI = {
         "authenticate": "07b04985f67f94c1371172d291c36402061018e6a5f2393ec341d15f59da329e",
         "authenticate --fiat-shamir": "3a33c7ad85978296d959fbb7e7e1953ad47479edd07630238442f105462e2c0c",
     },
+}
+
+GOLDEN_WIRE = {
+    "toy": "79314bb74f3557d292e459fa58341b39ee2bd4f3f4d201584b7ddb0b6a8b4bda",
+    "p256": "ae4662cb3ba0a75a50807d0c184bb644ec9a7455ccf2264627444ad5c700f896",
 }
 
 
@@ -117,3 +136,19 @@ def test_golden_cli_digests(group_id, tmp_path, monkeypatch, capsys):
         assert main(authenticate + extra) == 0
         digests[" ".join(["authenticate", *extra])] = _sha256(capsys.readouterr().out)
     assert digests == GOLDEN_CLI[group_id]
+
+
+@pytest.mark.parametrize("group_id", sorted(GOLDEN_WIRE))
+def test_golden_wire_bytes(group_id):
+    group = get_group(group_id)
+    messages = [
+        Commit(group.exp(group.g, 5)),
+        Challenge(group.q - 1),
+        Response(group.q // 3),
+        IdentityProof(7, group.exp(group.g, 11)),
+        Verdict(True),
+        Verdict(False),
+        *(Verdict(False, reason) for reason in Reason),
+    ]
+    wire = b"".join(encode_message(group, msg) for msg in messages)
+    assert hashlib.sha256(wire).hexdigest() == GOLDEN_WIRE[group_id]

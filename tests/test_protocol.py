@@ -498,6 +498,19 @@ class TestStateMachineSafety:
         replies = d.receive_bytes(b"garbage-bytes")
         assert replies == [Verdict(False, Reason.BAD_IDENTITY)]
 
+    @pytest.mark.parametrize("c", [-1, 11, 12345])
+    def test_out_of_range_challenge_fails_like_its_malformed_bytes(self, toy_env, c):
+        # a challenge no encoding can carry gets the reply that malformed
+        # bytes get in the same phase, and the nonce r is erased
+        d = make_twin(toy_env)
+        d.commit()
+        malformed = make_twin(toy_env)
+        malformed.commit()
+        assert d.receive(Challenge(c)) == malformed.receive_bytes(b"garbage-bytes")
+        assert d.receive(Challenge(c)) == []
+        assert d.phase is Phase.FAILED and d.failure is Reason.OUT_OF_ORDER
+        assert d.ephemeral_debug() == "erased"
+
     def test_no_path_to_key_establishment_skips_verification(self, toy_env):
         # depth-4 smoke enumeration; the acceptance suite runs depth 6
         outcomes = _fuzz_machines(toy_env, max_depth=4)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import struct
 
 import pytest
@@ -104,6 +105,23 @@ class TestPersistence:
         loaded = load_registry(toy, path)
         assert len(loaded) == 2
         assert list(loaded) == list(registry)
+
+    def test_failed_replace_leaves_old_registry(self, toy, tmp_path, monkeypatch):
+        registry = Registry(toy)
+        registry.register(13, 8, T0)
+        path = tmp_path / "registry.ndjson"
+        save_registry(registry, path)
+        before = path.read_bytes()
+        registry.register(13, 4, T0)
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            save_registry(registry, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["registry.ndjson"]
 
     def test_empty_roundtrip(self, toy, tmp_path):
         path = tmp_path / "empty.ndjson"
