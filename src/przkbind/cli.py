@@ -296,13 +296,16 @@ def _by_kind(agg: dict, kinds):
     return [(kind, agg["kind_counts"][kind], agg["kind_accepted"][kind]) for kind in kinds]
 
 
+_KIND_WIDTH = max(map(len, KIND_ORDER)) + 2  # the longest kind name and a gap
+
+
 def _echo_summary(agg: dict) -> None:
     click.echo(f"{'sessions':<24}{agg['sessions']}")
     click.echo(f"{'honest / adversarial':<24}{agg['honest_count']} / {agg['adversarial_count']}")
     click.echo(f"{'honest acceptance':<24}{_fmt_rate(agg['honest_accept_rate'])}")
     click.echo(f"{'FAR (overall)':<24}{_fmt_rate(agg['far'])}")
     for kind, attempts, accepted in _by_kind(agg, KIND_ORDER):
-        click.echo(f"  {kind:<22}{accepted}/{attempts}")
+        click.echo(f"  {kind:<{_KIND_WIDTH}}{accepted}/{attempts}")
     click.echo(f"{'mean auth latency':<24}{_fmt_ms(agg['mean_auth_latency_ms'])} (virtual)")
     click.echo(f"{'p95 auth latency':<24}{_fmt_ms(agg['p95_auth_latency_ms'])} (virtual)")
     click.echo(f"{'mean key establish':<24}{_fmt_ms(agg['mean_key_establish_ms'])} (virtual)")

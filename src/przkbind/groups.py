@@ -8,7 +8,9 @@ residue for the toy group, an affine ``(x, y)`` tuple or ``None`` (the
 point at infinity) for the curve -- and all structure lives in the group
 objects. A base that stays in use, such as a twin's public key, is
 declared with ``group.long_lived`` so that P-256 can give it a
-precomputed table; ``exp`` is the one way to exponentiate on every path.
+precomputed comb table; the generator has a larger comb of its own (two
+geometries, one table construction and one exp loop: see ``P256Group``).
+``exp`` is the one way to exponentiate on every path.
 
 Canonical encodings (these bytes are the hash inputs and the wire format):
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Tuple, Union
 
 Element = Union[int, Tuple[int, int], None]
@@ -157,10 +159,6 @@ _N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 _INFINITY = (0, 0, 0)  # Jacobian representation of the point at infinity
 
-# Lim-Lee comb geometry for declared bases: 6 teeth of 43 columns cover
-# 258 >= 256 scalar bits with a table of 63 affine points (~12 KiB) per base.
-_COMB_TEETH = 6
-_COMB_COLS = 43
 # wNAF window for every other base: 2^(w-2) = 8 odd multiples.
 _WNAF_WIDTH = 5
 
@@ -197,45 +195,81 @@ def _jac_add_affine(pt, q, p=_P):
     return (x3, (r * (v - x3) - y1 * hhh) % p, z1 * h % p)
 
 
-def _to_affine(pts, p=_P):
-    """Affine forms of Jacobian points (none at infinity) for one field inversion."""
+def _batch_inverse(values, p=_P):
+    """Inverses mod p of nonzero values for one field inversion (Montgomery's trick)."""
     prefix = [1]
-    for pt in pts:
-        prefix.append(prefix[-1] * pt[2] % p)
+    for v in values:
+        prefix.append(prefix[-1] * v % p)
     inv = pow(prefix[-1], -1, p)
-    out = [None] * len(pts)
-    for i in range(len(pts) - 1, -1, -1):
-        x, y, z = pts[i]
-        zi = inv * prefix[i] % p
-        inv = inv * z % p
-        zi2 = zi * zi % p
-        out[i] = (x * zi2 % p, y * zi2 % p * zi % p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = inv * prefix[i] % p
+        inv = inv * values[i] % p
     return out
 
 
-def _comb_table(base):
-    # entry m - 1 is the sum over set bits i of m of 2^(COLS * i) * base
+def _to_affine(pts, p=_P):
+    """Affine forms of Jacobian points (none at infinity) for one field inversion."""
+    out = []
+    for (x, y, _), zi in zip(pts, _batch_inverse([pt[2] for pt in pts])):
+        zi2 = zi * zi % p
+        out.append((x * zi2 % p, y * zi2 % p * zi % p))
+    return out
+
+
+def _subset_sums(strides, p=_P):
+    """Entry m - 1 is the sum over set bits i of m of strides[i], filled one
+    stride at a time with affine additions and one inversion per level. An
+    entry is a smaller multiple of the base than the stride it meets, never
+    equal to it or its negation, so every sum is a plain chord addition."""
+    table = []
+    for sx, sy in strides:
+        level = [(sx, sy)]
+        for (x, y), inv in zip(table, _batch_inverse([sx - x for x, _ in table])):
+            lam = (sy - y) * inv % p
+            x3 = (lam * lam - x - sx) % p
+            level.append((x3, (lam * (x - x3) - y) % p))
+        table += level
+    return table
+
+
+def _comb_tables(base, geometry):
+    """A declared base's comb: one doubling chain of teeth * tables strides,
+    cols // tables doublings apart; table k holds the subset sums of strides
+    k, k + tables, ..., listed highest table first."""
+    teeth, cols, tables = geometry
     pt = (base[0], base[1], 1)
-    strides = [pt]
-    for _ in range(_COMB_TEETH - 1):
-        for _ in range(_COMB_COLS):
+    chain = [pt]
+    for _ in range(teeth * tables - 1):
+        for _ in range(cols // tables):
             pt = _jac_double(pt)
-        strides.append(pt)
-    table = [_INFINITY]
-    for stride in _to_affine(strides):
-        table += [_jac_add_affine(t, stride) for t in table]
-    return _to_affine(table[1:])
+        chain.append(pt)
+    strides = _to_affine(chain)
+    return [_subset_sums(strides[k::tables]) for k in reversed(range(tables))]
 
 
-def _comb_mult(table, e):
-    # column c's digit is bits c, c + COLS, ..., read MSB-first off one string
-    bits = format(e, f"0{_COMB_TEETH * _COMB_COLS}b")
+@cache
+def _comb_schedule(geometry):
+    """(bit-string offset of a column, its table, whether a doubling comes
+    first) in the order _comb_mult reads them: each of the cols // tables
+    rounds doubles once, then reads one column per table, highest first."""
+    teeth, cols, tables = geometry
+    step = cols // tables
+    return tuple((start + k * step, k, k == 0) for start in range(step) for k in range(tables))
+
+
+def _comb_mult(base, e):
+    # column c's digit is bits c, c + cols, ..., read MSB-first off one string
+    teeth, cols, _ = base.geometry
+    bits = format(e, f"0{teeth * cols}b")
+    comb = base.comb
     acc = _INFINITY
-    for start in range(_COMB_COLS):
-        acc = _jac_double(acc)
-        digit = int(bits[start::_COMB_COLS], 2)
+    for offset, k, doubles in _comb_schedule(base.geometry):
+        if doubles:
+            acc = _jac_double(acc)
+        digit = int(bits[offset::cols], 2)
         if digit:
-            acc = _jac_add_affine(acc, table[digit - 1])
+            acc = _jac_add_affine(acc, comb[k][digit - 1])
     return acc
 
 
@@ -267,29 +301,42 @@ def _wnaf_mult(base, e):
 
 class _LongLived(tuple):
     """A declared affine point: equal to, and hashing as, the plain point,
-    and owning the comb table for its own exps from the first one on."""
+    and owning the comb for its own exps from the first one on. Its
+    geometry is (teeth, cols, tables), with teeth * cols >= 256 bits."""
+
+    geometry = (6, 43, 1)
 
     @cached_property
     def comb(self):
-        return _comb_table(self)
+        return _comb_tables(self, self.geometry)
+
+
+class _Generator(_LongLived):
+    """The generator, whose comb is larger: it is built once per process."""
+
+    geometry = (8, 32, 2)
 
 
 class P256Group(_ScalarCodec):
     """NIST P-256: prime-order elliptic-curve group at the 128-bit level.
 
     ``exp`` picks its path by what the base was declared to be, never by
-    how often it was seen. The generator, and keys declared through
-    ``long_lived``, carry one affine Lim-Lee comb table each, built on
-    their first exp and freed with them; every other base (points decoded
-    from the wire, fresh protocol values) goes through width-5 wNAF.
-    Both run in Jacobian coordinates with mixed Jacobian-affine addition
-    and the a = -3 doubling, and the group object itself holds no
-    per-base state.
+    how often it was seen. The generator carries a two-table Lim-Lee comb
+    (8 teeth x 32 columns, 510 affine points, ~100 KiB): 16 doublings and
+    at most 32 additions per exp. Keys declared through ``long_lived`` carry
+    a one-table comb each (6 x 43, 63 points, ~12 KiB, freed with the key):
+    43 doublings and at most 43 additions. Each comb is built on its base's
+    first exp; one construction and one exp loop serve both geometries, and
+    declared bases skip the curve check they passed when declared. Every
+    other base (points decoded from the wire, fresh protocol values) goes
+    through width-5 wNAF. All paths run in Jacobian coordinates with mixed
+    Jacobian-affine addition and the a = -3 doubling, and the group object
+    itself holds no per-base state.
     """
 
     group_id = "p256"
     q = _N
-    g = _LongLived((_GX, _GY))
+    g = _Generator((_GX, _GY))
     identity = None
     element_size = 33
     scalar_size = 32
@@ -309,15 +356,13 @@ class P256Group(_ScalarCodec):
         return (py * py - (px * px * px + _A * px + _B)) % _P == 0
 
     def exp(self, base: Element, e: int) -> Element:
-        if not self.is_member(base):
+        declared = isinstance(base, _LongLived)  # checked when declared; g is a constant
+        if not (declared or self.is_member(base)):
             raise GroupError(f"not a curve point: {base!r}")
         e %= self.q
         if base is None or e == 0:
             return None
-        if type(base) is _LongLived:
-            acc = _comb_mult(base.comb, e)
-        else:
-            acc = _wnaf_mult(base, e)
+        acc = _comb_mult(base, e) if declared else _wnaf_mult(base, e)
         return _to_affine([acc])[0]
 
     def long_lived(self, x: Element) -> Element:

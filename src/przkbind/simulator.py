@@ -19,10 +19,12 @@ import io
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .adversary import (
     AdversaryKind,
@@ -57,8 +59,16 @@ DEFAULT_ENERGY_WEIGHTS = {"group_exp": 10.0, "group_mul": 1.0, "hash": 1.0}
 _BINDING_TIME = 1_700_000_000  # fixed registration timestamp for campaigns
 _WARMUP_SESSIONS = 3
 _op_counts = attrgetter(*OP_NAMES)  # an OpCounts' values, in OP_NAMES order
-# The types a report row may hold in each field that aggregates read; op counts are ints.
-_ROW_TYPES = {"accepted": (bool,), "auth_latency_ms": (int, float), "key_establish_ms": (int, float, type(None))}
+_SESSION_KINDS = (HONEST, *KIND_ORDER)
+# The types a report row may hold in each field; op counts are ints.
+_ROW_TYPES = {
+    "index": (int,),
+    "accepted": (bool,),
+    "auth_latency_ms": (int, float),
+    "key_establish_ms": (int, float, type(None)),
+    "key_agreement": (bool, type(None)),
+    "detail": (str,),
+}
 
 
 class ConfigError(ValueError):
@@ -201,9 +211,30 @@ class SessionMetrics:
         for name, types in _ROW_TYPES.items():
             if type(getattr(m, name)) not in types:
                 raise TypeError(f"session {m.index!r}: {name} has the wrong type")
+        if m.kind not in _SESSION_KINDS:
+            raise TypeError(f"session {m.index!r}: kind {m.kind!r} is not a session kind")
         if set(map(type, _op_counts(m.ops_p) + _op_counts(m.ops_d))) != {int}:
             raise TypeError(f"session {m.index!r}: ops has the wrong type")
         return m
+
+
+_SLOT = "\0"  # a string no config or aggregates block holds (their strings are checked names)
+_SLOT_JSON = re.compile(r'"\\u0000([\w.]*)"')
+
+
+def _row_layout() -> Tuple[str, Callable]:
+    """A report row as json.dumps(indent=2) writes it in the sessions list,
+    with a %s for each leaf, and a getter of the leaves' values in that
+    order. Both come from to_dict of a placeholder row whose leaves name
+    their own attributes, so SessionMetrics.to_dict stays the one layout."""
+    slots = {f.name: _SLOT + f.name for f in fields(SessionMetrics)}
+    for name in ("ops_p", "ops_d"):
+        slots[name] = OpCounts(*[f"{_SLOT}{name}.{op}" for op in OP_NAMES])
+    text = json.dumps(SessionMetrics(**slots).to_dict(), indent=2).replace("\n", "\n    ")
+    return _SLOT_JSON.sub("%s", text), attrgetter(*_SLOT_JSON.findall(text))
+
+
+_ROW_TEMPLATE, _row_values = _row_layout()
 
 
 @dataclass
@@ -220,7 +251,19 @@ class CampaignReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """json.dumps(self.to_dict(), indent=2) + "\\n", byte for byte. The C
+        encoder writes every row's leaf values in one call, one per line (an
+        encoded value holds no raw newline), and they fill one row template
+        per session."""
+        rows = [_SLOT] if self.sessions else []
+        doc = {"config": self.config.to_dict(), "sessions": rows, "aggregates": self.aggregates}
+        text = json.dumps(doc, indent=2)
+        if self.sessions:
+            leaves = list(chain.from_iterable(map(_row_values, self.sessions)))
+            values = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")
+            rows_text = ",\n    ".join([_ROW_TEMPLATE] * len(self.sessions)) % tuple(values)
+            text = text.replace(json.dumps(_SLOT), rows_text, 1)
+        return text + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -444,7 +487,7 @@ def _p95(values: List[float]) -> Optional[float]:
 def compute_aggregates(metrics: List[SessionMetrics], weights: Dict[str, float]) -> dict:
     honest = [m for m in metrics if m.kind == HONEST]
     kind_counts, kind_accepted = {}, {}
-    for kind in (HONEST, *KIND_ORDER):
+    for kind in _SESSION_KINDS:
         of_kind = [m for m in metrics if m.kind == kind]
         kind_counts[kind] = len(of_kind)
         kind_accepted[kind] = sum(m.accepted for m in of_kind)

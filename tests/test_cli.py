@@ -6,6 +6,7 @@ import stat
 import pytest
 
 from przkbind.cli import main
+from przkbind.simulator import KIND_ORDER, CampaignConfig, SessionMetrics, compute_aggregates
 
 from conftest import T0
 
@@ -276,6 +277,16 @@ class TestSimulate:
         assert (tmp_path / "report.json").exists()
         assert (tmp_path / "report.csv").exists()
 
+    def test_summary_kind_lines_split_into_kind_and_count(self, run):
+        code, out, _ = run("simulate", "--sessions", "20", "--adv-ratio", "0.5",
+                           "--group", "toy", "--seed", "3")
+        assert code == 0
+        kind_lines = [line.split() for line in out.splitlines() if line.startswith("  ")]
+        assert [fields[0] for fields in kind_lines] == list(KIND_ORDER)
+        for fields in kind_lines:
+            accepted, attempts = fields[1].split("/")
+            assert len(fields) == 2 and accepted.isdigit() and attempts.isdigit()
+
     def test_byte_identical_reruns_and_parallel(self, run, tmp_path):
         args = ["simulate", "--sessions", "40", "--adv-ratio", "0.2",
                 "--latency", "10:20", "--seed", "9", "--group", "toy"]
@@ -387,6 +398,11 @@ class TestSimulate:
         assert "12 / 0" in out
 
 
+class _Recomputed(dict):
+    """A report-row edit after which the aggregates are recomputed to match,
+    so that only the check on the row itself can catch it."""
+
+
 class TestReport:
     @pytest.fixture
     def report_file(self, run, tmp_path):
@@ -431,6 +447,10 @@ class TestReport:
             (b"\xff\xfe", ("camp.json",)),
             ({"config": "x"}, ("config",)),
             ({"config": {"sessions": "x"}}, ("sessions",)),
+            (_Recomputed(kind="bogus"), ("session 0", "kind", "bogus")),
+            (_Recomputed(key_agreement="no"), ("session 0", "key_agreement")),
+            (_Recomputed(index="zz"), ("session 'zz'", "index")),
+            (_Recomputed(detail=5), ("session 0", "detail")),
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
@@ -438,6 +458,11 @@ class TestReport:
             report_file.write_bytes(edit)
         else:
             obj = json.loads(report_file.read_text())
+            if isinstance(edit, _Recomputed):
+                metrics = [SessionMetrics.from_dict(s) for s in obj["sessions"]]
+                vars(metrics[0]).update(edit)
+                weights = CampaignConfig.from_dict(obj["config"]).energy_weights
+                obj["aggregates"] = compute_aggregates(metrics, weights)
             if edit.keys() & {"aggregates", "config"}:
                 obj.update(edit)
             else:

@@ -1,9 +1,11 @@
 import hashlib
 import random
 import struct
+from collections import Counter
 
 import pytest
 
+from przkbind import groups
 from przkbind.groups import (
     GroupError,
     get_group,
@@ -14,6 +16,7 @@ from przkbind.groups import (
     scalar_random,
     scalar_random_nonzero,
 )
+from przkbind.simulator import HONEST, CampaignConfig, _spawn_rng, build_env, run_session
 
 TOY_MEMBERS = sorted(pow(2, k, 23) for k in range(11))
 
@@ -250,6 +253,31 @@ class TestP256:
             assert p256.exp(base, k) == p256.exp(declared, k) == _naive_mult(p256, base, k)
         with pytest.raises(GroupError):
             p256.long_lived(p256.identity)
+
+    def test_long_lived_rejects_non_points(self, p256):
+        x, y = p256.exp(p256.g, 7)
+        for bad in ((x, y + 1), [x, y], x, "point", (x, y, 1)):
+            with pytest.raises(GroupError):
+                p256.long_lived(bad)
+
+    def test_honest_session_work_count(self, monkeypatch):
+        """Jacobian doublings and mixed additions of one honest session once
+        set-up has built both combs: 4 generator exps (16 doublings and at
+        most 32 additions each), 2 exps on the twin's key (43 and at most 43)
+        and one fresh-base wNAF exp (about 256 and 50). One comb geometry for
+        every declared base took 512 and 304."""
+        config = CampaignConfig(sessions=1, group_id="p256", rng_seed=5)
+        env = build_env(config)
+        counts = Counter()
+        for name in ("_jac_double", "_jac_add_affine"):
+            def counted(*args, _step=getattr(groups, name), _name=name):
+                counts[_name] += 1
+                return _step(*args)
+
+            monkeypatch.setattr(groups, name, counted)
+        assert run_session(config, HONEST, _spawn_rng(5, "session/0"), env).accepted
+        assert counts["_jac_double"] <= 420
+        assert counts["_jac_add_affine"] <= 270
 
     def test_wire_points_leave_no_per_base_state(self, p256):
         rng = random.Random(5)

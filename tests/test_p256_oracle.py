@@ -2,7 +2,9 @@
 
 The generator path is checked as a full point against OpenSSL's public
 key derivation; declared long-lived keys and plain points are checked by
-the x coordinate against OpenSSL's ECDH, which returns only x.
+the x coordinate against OpenSSL's ECDH, which returns only x. The powers
+of two check every table slot of both comb geometries: 2^k sets exactly
+one bit, so it reads exactly one (tooth, column, table) entry.
 """
 
 import random
@@ -45,6 +47,14 @@ def test_declared_and_plain_bases_match_openssl_ecdh(p256, e):
     expected = _ecdh_x(e, plain)
     assert p256.exp(plain, e)[0] == expected
     assert p256.exp(declared, e)[0] == expected
+
+
+def test_every_power_of_two_matches_openssl(p256):
+    declared = p256.long_lived(p256.exp(p256.g, 0x5EED))
+    for k in range(256):
+        numbers = _private(1 << k).public_key().public_numbers()
+        assert p256.exp(p256.g, 1 << k) == (numbers.x, numbers.y), k
+        assert p256.exp(declared, 1 << k)[0] == _ecdh_x(1 << k, declared), k
 
 
 def test_multiples_of_the_order_give_the_identity(p256):

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import przkbind.protocol as protocol
 import przkbind.registration as registration
@@ -10,7 +12,9 @@ from przkbind.protocol import OP_NAMES, OpCounts
 from przkbind.simulator import (
     HONEST,
     KIND_ORDER,
+    DEFAULT_ENERGY_WEIGHTS,
     CampaignConfig,
+    CampaignReport,
     ConfigError,
     SessionMetrics,
     allocate_kinds,
@@ -234,7 +238,30 @@ class TestCampaign:
         assert agg["far"] == 0.01
 
 
+_op_counts = st.builds(OpCounts, *[st.integers(0, 10**12)] * len(OP_NAMES))
+# report rows of every shape: null latencies and agreement, details with
+# quotes, backslashes, newlines, format characters and non-ASCII text
+_rows = st.builds(
+    SessionMetrics,
+    index=st.integers(0, 10**9),
+    kind=st.sampled_from((HONEST, *KIND_ORDER)),
+    accepted=st.booleans(),
+    auth_latency_ms=st.floats() | st.integers(0, 10**6),
+    key_establish_ms=st.none() | st.floats(),
+    ops_p=_op_counts,
+    ops_d=_op_counts,
+    key_agreement=st.none() | st.booleans(),
+    detail=st.text(st.sampled_from('"\\\n\r\t%s{}:,é雙\u2028\x00') | st.characters()),
+)
+
+
 class TestReportSerialization:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_rows, max_size=4))
+    def test_json_writer_matches_indented_dumps(self, rows):
+        report = CampaignReport(toy_config(), rows, compute_aggregates(rows, DEFAULT_ENERGY_WEIGHTS))
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
     def test_json_roundtrip_preserves_sessions(self):
         report = run_campaign(toy_config(sessions=25, adv_ratio=0.2))
         obj = json.loads(report.to_json())
