@@ -60,7 +60,6 @@ from .protocol import (
 )
 from .adversary import (
     AdversaryKind,
-    AttackContext,
     AttackError,
     AttackOutcome,
     attack_impersonate_twin,

@@ -1,22 +1,24 @@
 """Executable attacker strategies run against honest state machines.
 
-Each strategy models one capability from the threat model and drives a
-target session to its verdict:
+Each strategy models one capability from the threat model and runs its
+session through ``pump``, the loop that moves every session's messages:
 
 * replay: resend a recorded (alpha, z) against a fresh challenge
 * twin impersonation: answer the challenge blind, without sk_d
 * MITM tampering: flip one bit of one in-flight message of an honest run
 * KCI: holding a stolen sk_d, impersonate the physical entity to the twin
 
-An attack context carries only what an eavesdropper sees (transcripts,
-public keys, zeta), plus the stolen twin key in the KCI case.
+Replay, impersonation and KCI seat an impostor in one party's place; MITM
+tampers in its hop. Replay alone is handed what an eavesdropper recorded;
+no strategy is handed a secret or an ephemeral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from .groups import Element, scalar_random, scalar_random_nonzero
 from .protocol import (
@@ -45,22 +47,7 @@ class AdversaryKind(Enum):
 
 
 class AttackError(ValueError):
-    """The attack context lacks what the strategy needs."""
-
-
-@dataclass
-class AttackContext:
-    """Adversary knowledge: public transcript history and public keys only.
-
-    The stolen twin secret is present exactly when modelling key
-    compromise; no context ever holds the identity secret or ephemerals.
-    """
-
-    recorded_transcripts: List[Transcript] = field(default_factory=list)
-    pk_p: Element = None
-    pk_d: Element = None
-    zeta: bytes = b""
-    compromised_sk_d: Optional[int] = None
+    """The strategy lacks what it needs, such as a transcript to replay."""
 
 
 @dataclass
@@ -68,80 +55,85 @@ class AttackOutcome:
     """What the strategy achieved, plus the attacker-side operation tally."""
 
     verdict: Verdict
-    messages: int  # in-flight protocol messages the attack exchanged
+    messages: List[str]  # the labels of the messages pump moved, in order
     ops: OpCounts = field(default_factory=OpCounts)
     detail: str = ""
 
 
-def _forge_proof(target: EntitySession, alpha: Element, answer, ops: OpCounts, won: str):
-    """Commit to alpha, then send ``answer()`` as the response once the
-    challenge has arrived; ``won`` is the detail if the target accepts."""
-    replies = target.receive(Commit(alpha))
-    if not replies or not isinstance(replies[0], Challenge):
-        verdict = replies[0] if replies else Verdict(False, target.failure)
-        return AttackOutcome(verdict, 1, ops, "commitment rejected")
-    replies = target.receive(Response(answer()))
-    if target.schnorr_verified:
-        # the deceived verifier sends its identity proof: a 4th in-flight message
-        return AttackOutcome(Verdict(True), 4, ops, won)
-    verdict = replies[0] if replies and isinstance(replies[0], Verdict) else Verdict(False)
-    return AttackOutcome(verdict, 3, ops)
+class _Impostor:
+    """An attacker in one party's seat in ``pump``. ``answers`` maps the label
+    of each message it answers to a function making its reply; it is silent
+    to any other. In the twin's seat, ``commit`` opens the session."""
+
+    def __init__(self, answers: Dict[str, Callable[[], Message]], commit=None):
+        self.answers = answers
+        self.commit = commit
+
+    def receive(self, msg: Message) -> List[Message]:
+        answer = self.answers.get(msg.label)
+        return [answer()] if answer else []
 
 
-def attack_replay(ctx: AttackContext, rng, target: EntitySession) -> AttackOutcome:
+def _outcome(target, messages: List[str], ops: OpCounts, won: str) -> AttackOutcome:
+    """The attack won iff its honest target established a key."""
+    if target.phase is Phase.KEY_ESTABLISHED:
+        return AttackOutcome(Verdict(True), messages, ops, won)
+    return AttackOutcome(Verdict(False, target.failure), messages, ops)
+
+
+def _forge_proof(entity: EntitySession, alpha: Element, answer, ops: OpCounts, won: str):
+    """From the twin's seat, commit to alpha, then answer the challenge with
+    the response ``answer()``; ``won`` is the detail if the entity accepts."""
+    impostor = _Impostor({"challenge": lambda: Response(answer())}, lambda: Commit(alpha))
+    return _outcome(entity, pump(entity, impostor), ops, won)
+
+
+def attack_replay(recorded: List[Transcript], rng, entity: EntitySession) -> AttackOutcome:
     """Replay a recorded commitment and response against a fresh verifier.
 
     Succeeds only if the fresh challenge collides with the recorded one,
     which the nonce-bound challenge makes vanishingly rare outside the
     toy group.
     """
-    usable = [t for t in ctx.recorded_transcripts if t.alpha is not None and t.z is not None]
+    usable = [t for t in recorded if t.alpha is not None and t.z is not None]
     if not usable:
         raise AttackError("no recorded transcripts to replay")
-    recorded = usable[rng.randrange(len(usable))]
-    return _forge_proof(target, recorded.alpha, lambda: recorded.z, OpCounts(), "challenge collision")
+    seen = usable[rng.randrange(len(usable))]
+    return _forge_proof(entity, seen.alpha, lambda: seen.z, OpCounts(), "challenge collision")
 
 
-def attack_impersonate_twin(ctx: AttackContext, rng, target: EntitySession) -> AttackOutcome:
+def attack_impersonate_twin(rng, entity: EntitySession) -> AttackOutcome:
     """Run the proof without sk_d: random commitment, then a blind response.
 
     Without solving the discrete log, exactly one response per challenge
     verifies, so the success rate is 1/q.
     """
-    group = target.group
-    ops = OpCounts()
+    group = entity.group
     alpha = group.exp(group.g, scalar_random_nonzero(group, rng))
-    ops.group_exp += 1
-    return _forge_proof(target, alpha, lambda: scalar_random(group, rng), ops, "blind response verified")
+    answer = partial(scalar_random, group, rng)
+    return _forge_proof(entity, alpha, answer, OpCounts(group_exp=1), "blind response verified")
 
 
-def attack_kci(ctx: AttackContext, rng, target: TwinSession) -> AttackOutcome:
+def attack_kci(rng, twin: TwinSession) -> AttackOutcome:
     """Impersonate the physical entity to a twin whose sk_d leaked.
 
     The stolen key is required by the scenario but useless for this
     direction: passing the identity check needs the discrete log of
-    pk_p, so the adversary can only guess h_sp. The context must hold no
-    observed identity proofs; reusing an observed h_sp is classified as
-    replay, not key compromise.
+    pk_p, so the adversary can only guess h_sp. An adversary that reuses
+    an observed h_sp mounts a replay, not a key compromise.
     """
-    if ctx.compromised_sk_d is None:
-        raise AttackError("key-compromise attack requires the stolen twin secret")
-    if any(t.h_sp is not None for t in ctx.recorded_transcripts):
-        raise AttackError("context with observed identity proofs models replay, not KCI")
-    group = target.group
+    group = twin.group
     ops = OpCounts()
-    target.commit()
-    c = scalar_random(group, rng)
-    target.receive(Challenge(c))
-    h_sp_guess = scalar_random(group, rng)
-    r_a = scalar_random(group, rng)
-    r_pub = group.exp(group.g, r_a)
-    ops.group_exp += 1
-    replies = target.receive(IdentityProof(h_sp_guess, r_pub))
-    if target.identity_verified:
-        return AttackOutcome(Verdict(True), 4, ops, "identity guess accepted")
-    verdict = replies[0] if replies and isinstance(replies[0], Verdict) else Verdict(False)
-    return AttackOutcome(verdict, 4, ops)
+
+    def identity_guess() -> IdentityProof:
+        h_sp_guess = scalar_random(group, rng)
+        ops.group_exp += 1
+        return IdentityProof(h_sp_guess, group.exp(group.g, scalar_random(group, rng)))
+
+    impostor = _Impostor(
+        {"commit": lambda: Challenge(scalar_random(group, rng)), "response": identity_guess}
+    )
+    return _outcome(twin, pump(impostor, twin), ops, "identity guess accepted")
 
 
 # -- MITM tampering -----------------------------------------------------------
@@ -167,7 +159,6 @@ def _flip_bit(data: bytes, bit_index: int) -> bytes:
 
 
 def attack_mitm_tamper(
-    ctx: AttackContext,
     rng,
     entity: EntitySession,
     twin: TwinSession,
@@ -182,26 +173,19 @@ def attack_mitm_tamper(
     still established a key.
     """
     group = entity.group
-    slot = rng.randrange(len(EXCHANGE)) if slot is None else slot
-    slot_name = EXCHANGE[slot]
+    slot_name = EXCHANGE[rng.randrange(len(EXCHANGE)) if slot is None else slot]
     tampered_bit = bit
-    tampered = False
-    messages = 0
 
     def hop(recipient, msg) -> List[Message]:
-        nonlocal messages, tampered_bit, tampered
-        if msg.label != "verdict":
-            messages += 1  # verdicts deliver with zero injected delay
+        nonlocal tampered_bit
         raw = encode_message(group, msg)
-        if msg.label == slot_name and not tampered:
+        if msg.label == slot_name:  # each label travels at most once a session
             if tampered_bit is None:
                 tampered_bit = rng.randrange(len(raw) * 8)
             raw = _flip_bit(raw, tampered_bit)
-            tampered = True
         return recipient.receive_bytes(raw)
 
-    pump(entity, twin, hop)
-
+    messages = pump(entity, twin, hop)
     party, credential_bits = MITM_SLOTS[slot_name]
     accepted = (
         tampered_bit is not None

@@ -325,7 +325,9 @@ def report(in_path: Path, fmt: str) -> None:
         stored = obj["aggregates"]
         if not isinstance(stored, dict):
             raise TypeError("aggregates is not an object")
-    except (KeyError, TypeError, ConfigError) as exc:
+        if [m.index for m in metrics] != list(range(config.sessions)):
+            raise ValueError(f"rows are not sessions 0..{config.sessions - 1} in index order")
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise IntegrityFailure(f"malformed report file: {exc}") from exc
     recomputed = compute_aggregates(metrics, config.energy_weights)
     for metric, value in recomputed.items():

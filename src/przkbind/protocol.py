@@ -581,19 +581,22 @@ def pump(
     entity: EntitySession,
     twin: TwinSession,
     hop: Callable[[_Session, Message], List[Message]] = deliver,
-) -> None:
+) -> List[str]:
     """Run one session: open with ``twin.commit()``, then hand each message
     and its recipient to ``hop``, which returns the recipient's replies,
-    until a recipient has none. A party replies to a message with at most
-    one message, so the two alternate. A hop may observe, delay or alter
-    a message; the default one just delivers it.
+    until a recipient has none; returns the moved messages' labels. A party
+    replies with at most one message, so the two alternate. A hop may
+    observe, delay or alter a message; the default one delivers it. Either
+    seat may hold an attacker's impostor.
     """
     msg: Message = twin.commit()
     recipient, peer = entity, twin
+    labels = []
     while True:
+        labels.append(msg.label)
         replies = hop(recipient, msg)
         if not replies:
-            return
+            return labels
         (msg,) = replies
         recipient, peer = peer, recipient
 

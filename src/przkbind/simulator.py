@@ -22,13 +22,13 @@ import random
 import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .adversary import (
     AdversaryKind,
-    AttackContext,
     attack_impersonate_twin,
     attack_kci,
     attack_mitm_tamper,
@@ -196,7 +196,7 @@ class SessionMetrics:
     @classmethod
     def from_dict(cls, obj: dict) -> "SessionMetrics":
         """Rebuild a report row; a value of the wrong type is a TypeError
-        naming the row's index."""
+        and a negative one a ValueError, each naming the row's index."""
         m = cls(
             index=obj["index"],
             kind=obj["kind"],
@@ -213,8 +213,11 @@ class SessionMetrics:
                 raise TypeError(f"session {m.index!r}: {name} has the wrong type")
         if m.kind not in _SESSION_KINDS:
             raise TypeError(f"session {m.index!r}: kind {m.kind!r} is not a session kind")
-        if set(map(type, _op_counts(m.ops_p) + _op_counts(m.ops_d))) != {int}:
+        ops = _op_counts(m.ops_p) + _op_counts(m.ops_d)
+        if set(map(type, ops)) != {int}:
             raise TypeError(f"session {m.index!r}: ops has the wrong type")
+        if min(m.auth_latency_ms, m.key_establish_ms or 0, *ops) < 0:  # sums of delays, tallies
+            raise ValueError(f"session {m.index!r}: a latency or an op count is negative")
         return m
 
 
@@ -291,7 +294,7 @@ class CampaignReport:
 
 @dataclass
 class CampaignEnv:
-    """Keys, binding record, and frozen attack contexts for one campaign.
+    """Keys, binding record, and the transcripts a replay attacker recorded.
 
     Built once before the session loop; sessions never touch the
     registry again (the authority is initialization-only).
@@ -301,9 +304,7 @@ class CampaignEnv:
     entity_keys: EntityKeys
     twin: TwinKeyPair
     record: BindingRecord
-    replay_ctx: AttackContext
-    public_ctx: AttackContext
-    kci_ctx: AttackContext
+    recorded: List[Transcript]
 
 
 def _spawn_rng(seed: Union[int, str], label: str) -> random.Random:
@@ -320,23 +321,13 @@ def build_env(config: CampaignConfig) -> CampaignEnv:
     registry = Registry(group)
     record = registry.register(entity_keys.pk_p, twin.pk_d, _BINDING_TIME)
 
-    transcripts: List[Transcript] = []
+    recorded: List[Transcript] = []
     for i in range(_WARMUP_SESSIONS):
         rng = _spawn_rng(config.rng_seed, f"warmup/{i}")
         p = EntitySession(group, entity_keys, record, rng)
         d = TwinSession(group, twin, record, rng)
-        transcripts.append(run_interactive_session(p, d))
-
-    shared = dict(pk_p=entity_keys.pk_p, pk_d=twin.pk_d, zeta=record.zeta)
-    return CampaignEnv(
-        group=group,
-        entity_keys=entity_keys,
-        twin=twin,
-        record=record,
-        replay_ctx=AttackContext(recorded_transcripts=transcripts, **shared),
-        public_ctx=AttackContext(recorded_transcripts=[], **shared),
-        kci_ctx=AttackContext(recorded_transcripts=[], compromised_sk_d=twin.sk_d, **shared),
-    )
+        recorded.append(run_interactive_session(p, d))
+    return CampaignEnv(group, entity_keys, twin, record, recorded)
 
 
 # -- session execution --------------------------------------------------------
@@ -375,25 +366,24 @@ def allocate_kinds(
     return kinds
 
 
+def _delay(rng: random.Random, label: str, low: float, high: float) -> float:
+    """The latency injected on one message; the closing verdict has none."""
+    return 0.0 if label == "verdict" else rng.uniform(low, high)
+
+
 def _run_honest(env: CampaignEnv, rng: random.Random, low: float, high: float) -> dict:
     p = EntitySession(env.group, env.entity_keys, env.record, rng)
     d = TwinSession(env.group, env.twin, env.record, rng)
     clock = 0.0
-    due = iter(EXCHANGE)
 
     def hop(recipient, msg: Message) -> List[Message]:
         nonlocal clock
-        expected = next(due, None)
-        if msg.label != expected:
-            raise SimulationError(f"honest session derailed: {msg.label} where {expected} was due")
-        if expected != "verdict":  # the closing verdict has zero injected delay
-            clock += rng.uniform(low, high)
+        clock += _delay(rng, msg.label, low, high)
         return recipient.receive(msg)
 
-    pump(p, d, hop)
-    missing = next(due, None)
-    if missing is not None:
-        raise SimulationError(f"honest session derailed: it ended before the {missing}")
+    labels = tuple(pump(p, d, hop))
+    if labels != EXCHANGE:
+        raise SimulationError(f"honest session derailed: it moved {labels}, not {EXCHANGE}")
 
     established = p.phase is Phase.KEY_ESTABLISHED and d.phase is Phase.KEY_ESTABLISHED
     agree = established and p.session_key.k_pd == d.session_key.k_pd
@@ -410,21 +400,21 @@ def _run_honest(env: CampaignEnv, rng: random.Random, low: float, high: float) -
 def _run_adversarial(
     env: CampaignEnv, kind: str, rng: random.Random, low: float, high: float
 ) -> dict:
-    # kind -> (attack, its context, the sessions it attacks: entity P, twin D
-    # or both). Built per call, so an attack rebound on this module runs.
+    # kind -> (attack, the sessions it attacks: entity P, twin D or both).
+    # Built per call, so an attack rebound on this module runs.
     attacks = {
-        AdversaryKind.REPLAY.value: (attack_replay, env.replay_ctx, "p"),
-        AdversaryKind.IMPERSONATE_TWIN.value: (attack_impersonate_twin, env.public_ctx, "p"),
-        AdversaryKind.MITM_TAMPER.value: (attack_mitm_tamper, env.public_ctx, "pd"),
-        AdversaryKind.KCI_IMPERSONATE_PHYSICAL.value: (attack_kci, env.kci_ctx, "d"),
+        AdversaryKind.REPLAY.value: (partial(attack_replay, env.recorded), "p"),
+        AdversaryKind.IMPERSONATE_TWIN.value: (attack_impersonate_twin, "p"),
+        AdversaryKind.MITM_TAMPER.value: (attack_mitm_tamper, "pd"),
+        AdversaryKind.KCI_IMPERSONATE_PHYSICAL.value: (attack_kci, "d"),
     }
     if kind not in attacks:
         raise SimulationError(f"unknown session kind: {kind!r}")
-    attack, ctx, sides = attacks[kind]
+    attack, sides = attacks[kind]
     p = EntitySession(env.group, env.entity_keys, env.record, rng) if "p" in sides else None
     d = TwinSession(env.group, env.twin, env.record, rng) if "d" in sides else None
-    outcome = attack(ctx, rng, *(session for session in (p, d) if session is not None))
-    clock = sum(rng.uniform(low, high) for _ in range(outcome.messages))
+    outcome = attack(rng, *(session for session in (p, d) if session is not None))
+    clock = sum(_delay(rng, label, low, high) for label in outcome.messages)
     return {  # the attacker's tally stands in for the party it plays
         "accepted": outcome.verdict.accept,
         "auth_latency_ms": clock,

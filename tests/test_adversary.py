@@ -5,7 +5,6 @@ import pytest
 from przkbind.adversary import (
     MITM_SLOTS,
     AdversaryKind,
-    AttackContext,
     AttackError,
     attack_impersonate_twin,
     attack_kci,
@@ -13,12 +12,12 @@ from przkbind.adversary import (
     attack_replay,
 )
 from przkbind.protocol import (
+    EXCHANGE,
     Challenge,
     EntitySession,
     IdentityProof,
     Phase,
     Reason,
-    Transcript,
     TwinSession,
     identity_check,
     run_interactive_session,
@@ -33,43 +32,38 @@ def twin(env, seed=0):
     return TwinSession(env["group"], env["twin"], env["record"], random.Random(seed))
 
 
-def recorded_context(env, seed=1):
-    p, d = entity(env, seed), twin(env, seed + 1)
-    transcript = run_interactive_session(p, d)
-    return AttackContext(
-        recorded_transcripts=[transcript],
-        pk_p=env["keys"].pk_p,
-        pk_d=env["twin"].pk_d,
-        zeta=env["record"].zeta,
-    )
+def recorded(env, seed=1):
+    """The transcripts an eavesdropper recorded: one honest session."""
+    return [run_interactive_session(entity(env, seed), twin(env, seed + 1))]
 
 
 class TestReplay:
     def test_empty_transcript_store_is_an_error(self, toy_env):
-        ctx = AttackContext(pk_p=13, pk_d=8, zeta=toy_env["record"].zeta)
         with pytest.raises(AttackError):
-            attack_replay(ctx, random.Random(0), entity(toy_env))
+            attack_replay([], random.Random(0), entity(toy_env))
 
     def test_accepted_exactly_on_challenge_collision(self, toy_env):
         # the replayed response satisfies the equation iff the fresh
         # challenge equals the recorded one
-        ctx = recorded_context(toy_env)
-        recorded = ctx.recorded_transcripts[0]
+        transcripts = recorded(toy_env)
         hits = 0
         for seed in range(400):
             target = entity(toy_env, 100 + seed)
-            outcome = attack_replay(ctx, random.Random(seed), target)
-            collided = target._c == recorded.c
+            outcome = attack_replay(transcripts, random.Random(seed), target)
+            collided = target._c == transcripts[0].c
             assert outcome.verdict.accept is collided
+            # the deceived entity sends its identity proof; else it sends a reject
+            last = "identity_proof" if collided else "verdict"
+            assert outcome.messages == ["commit", "challenge", "response", last]
             hits += outcome.verdict.accept
         # toy collision probability is 1/11; the exact count is seed-pinned
         assert 15 <= hits <= 60
 
     def test_rejection_reason_is_bad_proof(self, toy_env):
-        ctx = recorded_context(toy_env)
+        transcripts = recorded(toy_env)
         for seed in range(50):
             target = entity(toy_env, 500 + seed)
-            outcome = attack_replay(ctx, random.Random(seed), target)
+            outcome = attack_replay(transcripts, random.Random(seed), target)
             if not outcome.verdict.accept:
                 assert outcome.verdict.reason is Reason.BAD_PROOF
                 assert target.phase is Phase.FAILED
@@ -77,9 +71,9 @@ class TestReplay:
         pytest.fail("no rejected replay found in 50 seeds")
 
     def test_production_replays_never_accepted(self, p256_env):
-        ctx = recorded_context(p256_env)
+        transcripts = recorded(p256_env)
         for seed in range(60):
-            outcome = attack_replay(ctx, random.Random(seed), entity(p256_env, 700 + seed))
+            outcome = attack_replay(transcripts, random.Random(seed), entity(p256_env, 700 + seed))
             assert not outcome.verdict.accept
 
 
@@ -97,49 +91,27 @@ class TestImpersonateTwin:
             assert accepting == 11  # 11 of 121 pairs: rate 1/11
 
     def test_strategy_acceptance_near_toy_rate(self, toy_env):
-        ctx = recorded_context(toy_env)
         hits = sum(
-            attack_impersonate_twin(ctx, random.Random(s), entity(toy_env, 900 + s)).verdict.accept
+            attack_impersonate_twin(random.Random(s), entity(toy_env, 900 + s)).verdict.accept
             for s in range(400)
         )
         assert 15 <= hits <= 60
 
     def test_failure_verdict_reason(self, toy_env):
-        ctx = recorded_context(toy_env)
         for s in range(50):
-            outcome = attack_impersonate_twin(ctx, random.Random(s), entity(toy_env, 30 + s))
+            outcome = attack_impersonate_twin(random.Random(s), entity(toy_env, 30 + s))
             if not outcome.verdict.accept:
                 assert outcome.verdict.reason is Reason.BAD_PROOF
                 return
         pytest.fail("no rejected impersonation found in 50 seeds")
 
     def test_production_impersonation_never_accepted(self, p256_env):
-        ctx = recorded_context(p256_env)
         for s in range(60):
-            outcome = attack_impersonate_twin(ctx, random.Random(s), entity(p256_env, 40 + s))
+            outcome = attack_impersonate_twin(random.Random(s), entity(p256_env, 40 + s))
             assert not outcome.verdict.accept
 
 
 class TestKci:
-    def kci_context(self, env):
-        return AttackContext(
-            pk_p=env["keys"].pk_p,
-            pk_d=env["twin"].pk_d,
-            zeta=env["record"].zeta,
-            compromised_sk_d=env["twin"].sk_d,
-        )
-
-    def test_requires_stolen_key(self, toy_env):
-        ctx = AttackContext(pk_p=13, pk_d=8, zeta=toy_env["record"].zeta)
-        with pytest.raises(AttackError):
-            attack_kci(ctx, random.Random(0), twin(toy_env))
-
-    def test_observed_identity_proofs_reclassify_as_replay(self, toy_env):
-        ctx = self.kci_context(toy_env)
-        ctx.recorded_transcripts = [Transcript(h_sp=7)]
-        with pytest.raises(AttackError):
-            attack_kci(ctx, random.Random(0), twin(toy_env))
-
     def test_identity_guess_ground_truth(self, toy_env):
         # exactly one of the 11 possible guesses passes the identity check
         toy = toy_env["group"]
@@ -147,9 +119,8 @@ class TestKci:
         assert winners == [7]
 
     def test_strategy_acceptance_near_toy_rate(self, toy_env):
-        ctx = self.kci_context(toy_env)
         hits = sum(
-            attack_kci(ctx, random.Random(s), twin(toy_env, 60 + s)).verdict.accept
+            attack_kci(random.Random(s), twin(toy_env, 60 + s)).verdict.accept
             for s in range(400)
         )
         assert 15 <= hits <= 60
@@ -163,10 +134,10 @@ class TestKci:
         assert d.verify_identity(IdentityProof(7, 4))
 
     def test_production_kci_never_accepted(self, p256_env):
-        ctx = self.kci_context(p256_env)
         for s in range(60):
-            outcome = attack_kci(ctx, random.Random(s), twin(p256_env, 80 + s))
+            outcome = attack_kci(random.Random(s), twin(p256_env, 80 + s))
             assert not outcome.verdict.accept
+            assert outcome.messages == list(EXCHANGE)
 
 
 class TestMitmTamper:
@@ -178,9 +149,7 @@ class TestMitmTamper:
             p = entity(toy_env, 200 + bit)
             d = twin(toy_env, 300 + bit)
             header_bits = 5 * 8
-            outcome = attack_mitm_tamper(
-                AttackContext(), random.Random(bit), p, d, slot=2, bit=header_bits + bit
-            )
+            outcome = attack_mitm_tamper(random.Random(bit), p, d, slot=2, bit=header_bits + bit)
             assert not outcome.verdict.accept
             assert p.phase is Phase.FAILED
 
@@ -193,15 +162,13 @@ class TestMitmTamper:
             p = entity(toy_env, 400 + bit)
             d = twin(toy_env, 500 + bit)
             header_bits = 5 * 8
-            outcome = attack_mitm_tamper(
-                AttackContext(), random.Random(bit), p, d, slot=3, bit=header_bits + bit
-            )
+            outcome = attack_mitm_tamper(random.Random(bit), p, d, slot=3, bit=header_bits + bit)
             assert not outcome.verdict.accept
             assert d.phase is Phase.FAILED
 
     def test_tampered_closing_verdict_is_post_authentication(self, toy_env):
         p, d = entity(toy_env, 600), twin(toy_env, 601)
-        outcome = attack_mitm_tamper(AttackContext(), random.Random(4), p, d, slot=4)
+        outcome = attack_mitm_tamper(random.Random(4), p, d, slot=4)
         assert not outcome.verdict.accept
         assert "post-auth" in outcome.detail
         # both parties had already derived keys before the flip
@@ -211,13 +178,13 @@ class TestMitmTamper:
         for slot in (0, 1):
             for seed in range(40):
                 p, d = entity(toy_env, 700 + seed), twin(toy_env, 800 + seed)
-                outcome = attack_mitm_tamper(AttackContext(), random.Random(seed), p, d, slot=slot)
+                outcome = attack_mitm_tamper(random.Random(seed), p, d, slot=slot)
                 assert not outcome.verdict.accept
 
     def test_random_slot_tampering_never_accepted_production(self, p256_env):
         for seed in range(40):
             p, d = entity(p256_env, 900 + seed), twin(p256_env, 950 + seed)
-            outcome = attack_mitm_tamper(AttackContext(), random.Random(seed), p, d)
+            outcome = attack_mitm_tamper(random.Random(seed), p, d)
             assert not outcome.verdict.accept
 
     def test_ephemeral_share_flip_is_disruption_not_false_acceptance(self, p256_env):
@@ -230,7 +197,7 @@ class TestMitmTamper:
         for seed in range(40):
             p, d = entity(p256_env, 1000 + seed), twin(p256_env, 1100 + seed)
             bit = header_bits + h_bits + 8 + seed  # inside the x coordinate
-            outcome = attack_mitm_tamper(AttackContext(), random.Random(seed), p, d, slot=3, bit=bit)
+            outcome = attack_mitm_tamper(random.Random(seed), p, d, slot=3, bit=bit)
             assert not outcome.verdict.accept
             if d.phase is Phase.KEY_ESTABLISHED:
                 # entity remains established too, but on a different key
@@ -239,12 +206,7 @@ class TestMitmTamper:
         pytest.fail("no decodable ephemeral-share flip found in 40 seeds")
 
 
-class TestContextHygiene:
-    def test_context_never_holds_identity_secret(self, toy_env):
-        ctx = recorded_context(toy_env)
-        assert not hasattr(ctx, "s_p")
-        assert ctx.compromised_sk_d is None
-
+class TestKinds:
     def test_kind_enum_is_one_to_one_with_strategies(self):
         assert {k.value for k in AdversaryKind} == {
             "replay",

@@ -6,6 +6,7 @@ import stat
 import pytest
 
 from przkbind.cli import main
+from przkbind.protocol import OpCounts
 from przkbind.simulator import KIND_ORDER, CampaignConfig, SessionMetrics, compute_aggregates
 
 from conftest import T0
@@ -430,6 +431,19 @@ class TestReport:
         assert code == 3
         assert "far" in err
 
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_rows_must_be_every_session_of_the_config(self, run, report_file, drop):
+        # a dropped row, with the aggregates recomputed to match, still fails
+        obj = json.loads(report_file.read_text())
+        del obj["sessions"][drop]
+        metrics = [SessionMetrics.from_dict(s) for s in obj["sessions"]]
+        weights = CampaignConfig.from_dict(obj["config"]).energy_weights
+        obj["aggregates"] = compute_aggregates(metrics, weights)
+        report_file.write_text(json.dumps(obj))
+        code, _, err = run("report", "--in", str(report_file))
+        assert code == 3
+        assert "sessions 0..29" in err and err.count("\n") == 1
+
     def test_csv_output_matches_simulated_csv(self, run, report_file, tmp_path):
         code, out, _ = run("report", "--in", str(report_file), "--format", "csv")
         assert code == 0
@@ -451,6 +465,10 @@ class TestReport:
             (_Recomputed(key_agreement="no"), ("session 0", "key_agreement")),
             (_Recomputed(index="zz"), ("session 'zz'", "index")),
             (_Recomputed(detail=5), ("session 0", "detail")),
+            (_Recomputed(auth_latency_ms=-5.0), ("session 0", "latency", "negative")),
+            (_Recomputed(key_establish_ms=-1.0), ("session 0", "latency", "negative")),
+            (_Recomputed(ops_d=OpCounts(hash=-3)), ("session 0", "op count", "negative")),
+            (_Recomputed(index=1), ("sessions 0..29",)),  # two rows with index 1
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
@@ -463,7 +481,8 @@ class TestReport:
                 vars(metrics[0]).update(edit)
                 weights = CampaignConfig.from_dict(obj["config"]).energy_weights
                 obj["aggregates"] = compute_aggregates(metrics, weights)
-            if edit.keys() & {"aggregates", "config"}:
+                obj["sessions"][0] = metrics[0].to_dict()
+            elif edit.keys() & {"aggregates", "config"}:
                 obj.update(edit)
             else:
                 obj["sessions"][0].update(edit)

@@ -465,11 +465,13 @@ class TestStateMachineSafety:
             seen.append((recipient is p, msg.label))
             return recipient.receive(msg)
 
-        pump(p, d, hop)
+        labels = pump(p, d, hop)
         assert seen == [
             (True, "commit"), (False, "challenge"), (True, "response"),
             (False, "identity_proof"), (True, "verdict"),
         ]
+        # it returns the labels of the messages its hop saw, in order
+        assert labels == [label for _, label in seen]
         assert p.session_key.k_pd == d.session_key.k_pd
         # the default hop just delivers
         p2, d2 = make_entity(toy_env), make_twin(toy_env)

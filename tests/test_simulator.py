@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import przkbind.adversary as adversary
 import przkbind.protocol as protocol
 import przkbind.registration as registration
+import przkbind.simulator as simulator
 from przkbind.groups import P256Group, ToyGroup
 from przkbind.protocol import OP_NAMES, OpCounts
 from przkbind.simulator import (
@@ -156,6 +158,39 @@ class TestSessions:
                 done = {op: calls[op] - before[op] for op in OP_NAMES}
                 logical = {op: getattr(m.ops_p, op) + getattr(m.ops_d, op) for op in OP_NAMES}
                 assert done == logical, (kind, i)
+
+    def test_every_campaign_message_travels_through_pump(self, monkeypatch):
+        # pump is wrapped where the simulator and the attacks look it up; a
+        # party that receives a message outside it was driven by hand
+        cfg = CampaignConfig(sessions=1, group_id="toy", rng_seed=13)
+        env = build_env(cfg)
+        depth, kind = 0, None
+        inside, outside = set(), set()  # the kinds whose sessions received messages there
+
+        def counting_pump(*args):
+            nonlocal depth
+            depth += 1
+            try:
+                return protocol.pump(*args)
+            finally:
+                depth -= 1
+
+        def watching(receive):
+            def wrapper(self, msg):
+                (inside if depth else outside).add(kind)
+                return receive(self, msg)
+
+            return wrapper
+
+        monkeypatch.setattr(simulator, "pump", counting_pump)
+        monkeypatch.setattr(adversary, "pump", counting_pump)
+        for cls in (protocol.EntitySession, protocol.TwinSession):
+            monkeypatch.setattr(cls, "receive", watching(cls.receive))
+        for kind in (HONEST, *KIND_ORDER):
+            for i in range(20):
+                run_session(cfg, kind, _spawn_rng(i, kind), env)
+        assert outside == set()
+        assert inside == {HONEST, *KIND_ORDER}
 
 
 class TestEnergyProxy:
