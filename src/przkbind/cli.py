@@ -44,7 +44,6 @@ from .registration import (
     write_atomic,
 )
 from .simulator import (
-    HONEST,
     KIND_ORDER,
     CampaignConfig,
     CampaignReport,
@@ -291,11 +290,6 @@ def _fmt_ms(value) -> str:
     return "n/a" if value is None else f"{value:.3f} ms"
 
 
-def _by_kind(agg: dict, kinds):
-    """(kind, attempts, accepted) for each of the given kinds."""
-    return [(kind, agg["kind_counts"][kind], agg["kind_accepted"][kind]) for kind in kinds]
-
-
 _KIND_WIDTH = max(map(len, KIND_ORDER)) + 2  # the longest kind name and a gap
 
 
@@ -304,8 +298,8 @@ def _echo_summary(agg: dict) -> None:
     click.echo(f"{'honest / adversarial':<24}{agg['honest_count']} / {agg['adversarial_count']}")
     click.echo(f"{'honest acceptance':<24}{_fmt_rate(agg['honest_accept_rate'])}")
     click.echo(f"{'FAR (overall)':<24}{_fmt_rate(agg['far'])}")
-    for kind, attempts, accepted in _by_kind(agg, KIND_ORDER):
-        click.echo(f"  {kind:<{_KIND_WIDTH}}{accepted}/{attempts}")
+    for kind in KIND_ORDER:
+        click.echo(f"  {kind:<{_KIND_WIDTH}}{agg['kind_accepted'][kind]}/{agg['kind_counts'][kind]}")
     click.echo(f"{'mean auth latency':<24}{_fmt_ms(agg['mean_auth_latency_ms'])} (virtual)")
     click.echo(f"{'p95 auth latency':<24}{_fmt_ms(agg['p95_auth_latency_ms'])} (virtual)")
     click.echo(f"{'mean key establish':<24}{_fmt_ms(agg['mean_key_establish_ms'])} (virtual)")
@@ -340,13 +334,7 @@ def report(in_path: Path, fmt: str) -> None:
         rebuilt = CampaignReport(config, metrics, recomputed)
         click.echo(rebuilt.to_json() if fmt == "json" else rebuilt.to_csv(), nl=False)
     else:
-        click.echo(f"{'kind':<26}{'sessions':>10}{'accepted':>10}{'rate':>10}")
-        for kind, attempts, accepted in _by_kind(recomputed, (HONEST, *KIND_ORDER)):
-            rate = f"{accepted / attempts * 100:.2f}%" if attempts else "n/a"
-            click.echo(f"{kind:<26}{attempts:>10}{accepted:>10}{rate:>10}")
-        click.echo(f"{'FAR (overall)':<26}{_fmt_rate(recomputed['far']):>30}")
-        click.echo(f"{'mean auth latency':<26}{_fmt_ms(recomputed['mean_auth_latency_ms']):>30}")
-        click.echo(f"{'energy proxy':<26}{recomputed['energy_proxy']:>28.1f}  weighted ops")
+        _echo_summary(recomputed)
 
 
 def main(argv=None) -> int:

@@ -329,9 +329,9 @@ class P256Group(_ScalarCodec):
     first exp; one construction and one exp loop serve both geometries, and
     declared bases skip the curve check they passed when declared. Every
     other base (points decoded from the wire, fresh protocol values) goes
-    through width-5 wNAF. All paths run in Jacobian coordinates with mixed
-    Jacobian-affine addition and the a = -3 doubling, and the group object
-    itself holds no per-base state.
+    through width-5 wNAF. All paths, and ``mul``, run in Jacobian coordinates
+    with mixed Jacobian-affine addition and the a = -3 doubling, and the
+    group object itself holds no per-base state.
     """
 
     group_id = "p256"
@@ -375,21 +375,10 @@ class P256Group(_ScalarCodec):
     def mul(self, a: Element, b: Element) -> Element:
         if not self.is_member(a) or not self.is_member(b):
             raise GroupError("operands must be curve points")
-        if a is None:
-            return b
-        if b is None:
-            return a
-        x1, y1 = a
-        x2, y2 = b
-        if x1 == x2:
-            if (y1 + y2) % _P == 0:
-                return None
-            lam = (3 * x1 * x1 + _A) * pow(2 * y1, -1, _P) % _P
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, _P) % _P
-        x3 = (lam * lam - x1 - x2) % _P
-        y3 = (lam * (x1 - x3) - y1) % _P
-        return (x3, y3)
+        if a is None or b is None:
+            return b if a is None else a
+        acc = _jac_add_affine((a[0], a[1], 1), b)  # a doubling when a == b
+        return _to_affine([acc])[0] if acc[2] else None  # z == 0: a + (-a)
 
     def encode(self, x: Element) -> bytes:
         if not self.is_member(x):

@@ -334,6 +334,7 @@ class _Session:
         self.failure: Optional[Reason] = None
         self.ops = OpCounts()
         self._key: Optional[SessionKey] = None
+        self._nonce: Optional[int] = None  # the party's one ephemeral secret: D's r, P's r_p
 
     @property
     def session_key(self) -> Optional[SessionKey]:
@@ -344,11 +345,11 @@ class _Session:
             raise SessionError(f"operation requires phase {expected.name}, in {self.phase.name}")
 
     def _establish(self, shared: Element) -> SessionKey:
-        """Hash the shared point into the session key; erases ephemerals."""
+        """Hash the shared point into the session key; erases the nonce."""
         self.ops.hash += 1
         self._key = derive_session_key(self.group, shared, self.zeta)
         self.phase = Phase.KEY_ESTABLISHED
-        self._erase()
+        self._nonce = None
         return self._key
 
     def _fail(self, reason: Reason) -> List[Message]:
@@ -356,7 +357,7 @@ class _Session:
         self.phase = Phase.FAILED
         self.failure = reason
         self._key = None
-        self._erase()
+        self._nonce = None
         return [Verdict(False, reason)]
 
     def timeout(self) -> None:
@@ -364,11 +365,8 @@ class _Session:
         if not self.phase.terminal:
             self._fail(Reason.TIMEOUT)
 
-    def _erase(self) -> None:
-        raise NotImplementedError
-
     def ephemeral_debug(self) -> str:
-        raise NotImplementedError
+        return "erased" if self._nonce is None else "held"
 
     def receive(self, msg: Message) -> List[Message]:
         """Feed one message; returns this party's replies.
@@ -426,7 +424,6 @@ class EntitySession(_Session):
         self.schnorr_verified = False
         self._alpha: Optional[Element] = None
         self._c: Optional[int] = None
-        self._r_p: Optional[int] = None
 
     def challenge(self, commit: Commit) -> Challenge:
         """Issue a challenge bound to the commitment, zeta, and a fresh nonce."""
@@ -456,8 +453,8 @@ class EntitySession(_Session):
     def identity_proof(self) -> IdentityProof:
         """Reveal the identity hash and a fresh ephemeral share g^{r_p}."""
         self._require_phase(Phase.RESPONSE_RECEIVED)
-        self._r_p = scalar_random_nonzero(self.group, self.rng)
-        r_p_pub = self.group.exp(self.group.g, self._r_p)
+        self._nonce = scalar_random_nonzero(self.group, self.rng)
+        r_p_pub = self.group.exp(self.group.g, self._nonce)
         self.ops.group_exp += 1
         self.phase = Phase.IDENTITY_VERIFIED
         return IdentityProof(self.keys.h_sp, r_p_pub)
@@ -465,7 +462,7 @@ class EntitySession(_Session):
     def derive_key(self) -> SessionKey:
         """Session key from pk_d^{h_sp + r_p} and zeta; erases r_p."""
         self._require_phase(Phase.IDENTITY_VERIFIED)
-        exponent = (self.keys.h_sp + self._r_p) % self.group.q
+        exponent = (self.keys.h_sp + self._nonce) % self.group.q
         shared = self.group.exp(self.twin_pk, exponent)
         self.ops.group_exp += 1
         return self._establish(shared)
@@ -480,12 +477,6 @@ class EntitySession(_Session):
             self.derive_key()
             return [proof]
         return self._fail(Reason.OUT_OF_ORDER)
-
-    def _erase(self) -> None:
-        self._r_p = None
-
-    def ephemeral_debug(self) -> str:
-        return "erased" if self._r_p is None else "held"
 
 
 class TwinSession(_Session):
@@ -503,7 +494,6 @@ class TwinSession(_Session):
         self.twin = twin
         self.entity_pk = binding.pk_p
         self.identity_verified = False
-        self._r: Optional[int] = None
         self._r_p_pub: Optional[Element] = None
 
     def commit(self) -> Commit:
@@ -513,8 +503,8 @@ class TwinSession(_Session):
         identity element, which verifiers reject as degenerate.
         """
         self._require_phase(Phase.IDLE)
-        self._r = scalar_random_nonzero(self.group, self.rng)
-        alpha = self.group.exp(self.group.g, self._r)
+        self._nonce = scalar_random_nonzero(self.group, self.rng)
+        alpha = self.group.exp(self.group.g, self._nonce)
         self.ops.group_exp += 1
         self.phase = Phase.COMMITMENT_SENT
         return Commit(alpha)
@@ -526,8 +516,8 @@ class TwinSession(_Session):
         if not 0 <= ch.c < self.group.q:
             self._fail(Reason.OUT_OF_ORDER)
             raise VerificationFailure(Reason.OUT_OF_ORDER, f"challenge scalar out of range: {ch.c}")
-        z = schnorr_response(self.group, self._r, ch.c, self.twin.sk_d)
-        self._r = None
+        z = schnorr_response(self.group, self._nonce, ch.c, self.twin.sk_d)
+        self._nonce = None
         self.phase = Phase.RESPONSE_SENT
         return Response(z)
 
@@ -564,12 +554,6 @@ class TwinSession(_Session):
             self.derive_key()
             return [Verdict(True)]
         return self._fail(Reason.OUT_OF_ORDER)
-
-    def _erase(self) -> None:
-        self._r = None
-
-    def ephemeral_debug(self) -> str:
-        return "erased" if self._r is None else "held"
 
 
 def deliver(recipient: _Session, msg: Message) -> List[Message]:

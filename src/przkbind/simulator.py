@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from operator import attrgetter
+from itertools import chain, product
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .adversary import (
@@ -60,15 +60,20 @@ _BINDING_TIME = 1_700_000_000  # fixed registration timestamp for campaigns
 _WARMUP_SESSIONS = 3
 _op_counts = attrgetter(*OP_NAMES)  # an OpCounts' values, in OP_NAMES order
 _SESSION_KINDS = (HONEST, *KIND_ORDER)
-# The types a report row may hold in each field; op counts are ints.
+# A report row's flat fields, in the order it lists them, and the types each
+# may hold; the one nested entry, "ops", follows them and holds ints.
 _ROW_TYPES = {
     "index": (int,),
+    "kind": (str,),
     "accepted": (bool,),
     "auth_latency_ms": (int, float),
     "key_establish_ms": (int, float, type(None)),
     "key_agreement": (bool, type(None)),
     "detail": (str,),
 }
+_ROW_SHAPES = frozenset(product(*_ROW_TYPES.values()))  # each allowed tuple of field types
+_LATENCIES = tuple(name for name, types in _ROW_TYPES.items() if float in types)  # sums of delays
+_row_items = itemgetter(*_ROW_TYPES)  # a report row's flat fields
 
 
 class ConfigError(ValueError):
@@ -182,42 +187,34 @@ class SessionMetrics:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "kind": self.kind,
-            "accepted": self.accepted,
-            "auth_latency_ms": self.auth_latency_ms,
-            "key_establish_ms": self.key_establish_ms,
-            "key_agreement": self.key_agreement,
-            "detail": self.detail,
-            "ops": {"p": self.ops_p.as_dict(), "d": self.ops_d.as_dict()},
-        }
+        ops = {"p": self.ops_p.as_dict(), "d": self.ops_d.as_dict()}
+        return {**{name: getattr(self, name) for name in _ROW_TYPES}, "ops": ops}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SessionMetrics":
-        """Rebuild a report row; a value of the wrong type is a TypeError
-        and a negative one a ValueError, each naming the row's index."""
-        m = cls(
-            index=obj["index"],
-            kind=obj["kind"],
-            accepted=obj["accepted"],
-            auth_latency_ms=obj["auth_latency_ms"],
-            key_establish_ms=obj["key_establish_ms"],
-            ops_p=OpCounts(**obj["ops"]["p"]),
-            ops_d=OpCounts(**obj["ops"]["d"]),
-            key_agreement=obj.get("key_agreement"),
-            detail=obj.get("detail", ""),
-        )
-        for name, types in _ROW_TYPES.items():
-            if type(getattr(m, name)) not in types:
-                raise TypeError(f"session {m.index!r}: {name} has the wrong type")
+        """Rebuild a report row; a value of the wrong type is a TypeError,
+        and one that is negative, not finite or at odds with the row's kind
+        and verdict a ValueError, each naming the row's index."""
+        values, ops = _row_items(obj), obj["ops"]
+        # positional, in SessionMetrics' field order: its ops follow the row's first five fields
+        m = cls(*values[:5], OpCounts(**ops["p"]), OpCounts(**ops["d"]), *values[5:])
+        if tuple(map(type, values)) not in _ROW_SHAPES:
+            name = next(n for (n, types), v in zip(_ROW_TYPES.items(), values) if type(v) not in types)
+            raise TypeError(f"session {m.index!r}: {name} has the wrong type")
         if m.kind not in _SESSION_KINDS:
             raise TypeError(f"session {m.index!r}: kind {m.kind!r} is not a session kind")
-        ops = _op_counts(m.ops_p) + _op_counts(m.ops_d)
-        if set(map(type, ops)) != {int}:
+        counts = _op_counts(m.ops_p) + _op_counts(m.ops_d)
+        if set(map(type, counts)) != {int}:
             raise TypeError(f"session {m.index!r}: ops has the wrong type")
-        if min(m.auth_latency_ms, m.key_establish_ms or 0, *ops) < 0:  # sums of delays, tallies
-            raise ValueError(f"session {m.index!r}: a latency or an op count is negative")
+        for name in _LATENCIES:
+            if not 0 <= (getattr(m, name) or 0) < math.inf:
+                raise ValueError(f"session {m.index!r}: latency {name} is negative or not finite")
+        if min(counts) < 0:  # tallies
+            raise ValueError(f"session {m.index!r}: an op count is negative")
+        if m.kind != HONEST and (m.key_agreement, m.key_establish_ms) != (None, None):
+            raise ValueError(f"session {m.index!r}: an adversarial row has a key_agreement or key_establish_ms")
+        if m.kind == HONEST and (m.key_agreement is not m.accepted or m.accepted and m.key_establish_ms is None):
+            raise ValueError(f"session {m.index!r}: key_agreement != accepted, or accepted without key_establish_ms")
         return m
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import stat
 
@@ -423,6 +424,15 @@ class TestReport:
                      "kci_impersonate_physical"):
             assert kind in out
 
+    def test_table_is_the_simulate_summary(self, run):
+        code, simulated, _ = run("simulate", "--sessions", "30", "--adv-ratio", "0.2",
+                                 "--group", "toy", "--seed", "11", "--out", "camp")
+        assert code == 0
+        summary = [line for line in simulated.splitlines() if not line.startswith("wrote ")]
+        code, out, _ = run("report", "--in", "camp.json", "--format", "table")
+        assert code == 0
+        assert out.splitlines() == summary
+
     def test_hand_edited_aggregate_detected(self, run, report_file):
         obj = json.loads(report_file.read_text())
         obj["aggregates"]["far"] = 0.5
@@ -469,6 +479,14 @@ class TestReport:
             (_Recomputed(key_establish_ms=-1.0), ("session 0", "latency", "negative")),
             (_Recomputed(ops_d=OpCounts(hash=-3)), ("session 0", "op count", "negative")),
             (_Recomputed(index=1), ("sessions 0..29",)),  # two rows with index 1
+            # session 0 is an honest, accepted row whose keys agree
+            (_Recomputed(key_agreement=False), ("session 0", "key_agreement", "accepted")),
+            (_Recomputed(key_establish_ms=None), ("session 0", "key_establish_ms")),
+            (_Recomputed(kind="replay", key_agreement=None), ("session 0", "adversarial")),
+            (_Recomputed(kind="replay", key_establish_ms=None), ("session 0", "adversarial")),
+            (_Recomputed(auth_latency_ms=math.inf), ("session 0", "auth_latency_ms", "finite")),
+            (_Recomputed(auth_latency_ms=math.nan), ("session 0", "auth_latency_ms", "finite")),
+            (_Recomputed(key_establish_ms=math.inf), ("session 0", "key_establish_ms", "finite")),
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):

@@ -1,10 +1,12 @@
-"""Differential test of P-256 exp against OpenSSL through `cryptography`.
+"""Differential test of P-256 exp and mul against OpenSSL through `cryptography`.
 
 The generator path is checked as a full point against OpenSSL's public
 key derivation; declared long-lived keys and plain points are checked by
 the x coordinate against OpenSSL's ECDH, which returns only x. The powers
 of two check every table slot of both comb geometries: 2^k sets exactly
-one bit, so it reads exactly one (tooth, column, table) entry.
+one bit, so it reads exactly one (tooth, column, table) entry. Point
+addition shares its formulas with exp, so mul is checked against OpenSSL's
+public keys too: aG + bG, aG + aG and aG + (-aG).
 """
 
 import random
@@ -28,6 +30,12 @@ def _private(e):
     return ec.derive_private_key(e % Q, ec.SECP256R1())
 
 
+def _public(e):
+    """e * G as OpenSSL derives the public key of private key e."""
+    numbers = _private(e).public_key().public_numbers()
+    return (numbers.x, numbers.y)
+
+
 def _ecdh_x(e, point):
     peer = ec.EllipticCurvePublicNumbers(point[0], point[1], ec.SECP256R1()).public_key()
     return int.from_bytes(_private(e).exchange(ec.ECDH(), peer), "big")
@@ -35,8 +43,21 @@ def _ecdh_x(e, point):
 
 @pytest.mark.parametrize("e", _scalars())
 def test_generator_matches_openssl(p256, e):
-    numbers = _private(e).public_key().public_numbers()
-    assert p256.exp(p256.g, e) == (numbers.x, numbers.y)
+    assert p256.exp(p256.g, e) == _public(e)
+
+
+def _summands():
+    """(a, b) pairs of neighbouring scalars whose sum is not a multiple of Q."""
+    scalars = _scalars()
+    return [(a, b) for a, b in zip(scalars, scalars[1:] + scalars[:1]) if (a + b) % Q]
+
+
+@pytest.mark.parametrize("a, b", _summands())
+def test_mul_matches_openssl(p256, a, b):
+    point = _public(a)
+    assert p256.mul(point, _public(b)) == _public(a + b)
+    assert p256.mul(point, point) == _public(2 * a)
+    assert p256.mul(point, _public(-a)) is None
 
 
 @pytest.mark.parametrize("e", _scalars())
@@ -52,8 +73,7 @@ def test_declared_and_plain_bases_match_openssl_ecdh(p256, e):
 def test_every_power_of_two_matches_openssl(p256):
     declared = p256.long_lived(p256.exp(p256.g, 0x5EED))
     for k in range(256):
-        numbers = _private(1 << k).public_key().public_numbers()
-        assert p256.exp(p256.g, 1 << k) == (numbers.x, numbers.y), k
+        assert p256.exp(p256.g, 1 << k) == _public(1 << k), k
         assert p256.exp(declared, 1 << k)[0] == _ecdh_x(1 << k, declared), k
 
 

@@ -624,12 +624,12 @@ class TestTranscriptSecrecy:
             return msg
 
         commit = send(d.commit())
-        r_nonce = d._r
+        r_nonce = d._nonce
         ch = send(p.challenge(commit))
         resp = send(d.respond(ch))
         assert p.verify_response(resp)
         proof = send(p.identity_proof())
-        r_p = p._r_p
+        r_p = p._nonce
         p.derive_key()
         assert d.verify_identity(proof)
         d.derive_key()
