@@ -53,6 +53,7 @@ from .simulator import (
     _spawn_rng,
     compute_aggregates,
     run_campaign,
+    unreadable_row,
 )
 
 CONFIG_ENV_VAR = "PRZKBIND_CONFIG"
@@ -200,7 +201,7 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
     pump(p, d, hop)
     click.echo(f"P terminal phase: {p.phase.value}")
     click.echo(f"D terminal phase: {d.phase.value}")
-    click.echo(transcript.to_json(group))
+    click.echo(json.dumps(transcript.to_dict(group)))
     accepted = transcript.verdict is not None and transcript.verdict.accept
     if accepted and p.session_key and d.session_key and p.session_key.k_pd == d.session_key.k_pd:
         click.echo("session established: keys agree")
@@ -322,7 +323,7 @@ def report(in_path: Path, fmt: str) -> None:
         if [m.index for m in metrics] != list(range(config.sessions)):
             raise ValueError(f"rows are not sessions 0..{config.sessions - 1} in index order")
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise IntegrityFailure(f"malformed report file: {exc}") from exc
+        raise IntegrityFailure(f"malformed report file: {unreadable_row(obj) or exc}") from exc
     recomputed = compute_aggregates(metrics, config.energy_weights)
     for metric, value in recomputed.items():
         if metric not in stored:

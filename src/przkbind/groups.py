@@ -32,8 +32,6 @@ from typing import Iterable, Tuple, Union
 
 Element = Union[int, Tuple[int, int], None]
 
-DIGEST_SIZE = 32
-
 _H1_TAG = b"\x01"
 _H2_TAG = b"\x02"
 

@@ -24,18 +24,18 @@ The challenge hashes a fresh 32-byte session nonce along with alpha and
 zeta, so a replayed (alpha, z) meets a different challenge in every new
 session and the verification equation rejects it.
 
-Both state machines follow a strict phase order; any verification
-failure is terminal and erases ephemeral secrets.
+Both state machines follow a strict phase order. A failed check fails
+the session, erasing its ephemeral secret and any key, and raises
+VerificationFailure; ``receive`` answers it with the reject verdict.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Union
+from typing import Callable, ClassVar, Dict, List, NoReturn, Optional, Tuple, Union
 
 from .groups import (
     Element,
@@ -95,7 +95,7 @@ class Phase(Enum):
 
 
 class VerificationFailure(ProtocolError):
-    """Raised by operations whose failure carries a verdict reason."""
+    """A step's check failed; raised by ``_Session._reject`` with the verdict reason."""
 
     def __init__(self, reason: Reason, detail: str = ""):
         super().__init__(detail or reason.name)
@@ -259,11 +259,6 @@ def identity_check(group: Group, pk_p: Element, h_sp: int, ops: Optional[OpCount
     return result
 
 
-def derive_session_key(group: Group, shared: Element, zeta: bytes) -> SessionKey:
-    """Session key = 32-byte challenge-family hash of (shared point, zeta)."""
-    return SessionKey(hash_h1_bytes(group.encode(shared), zeta))
-
-
 # -- transcripts -----------------------------------------------------------
 
 
@@ -310,9 +305,6 @@ class Transcript:
             "timestamps": [[label, ms] for label, ms in self.timestamps],
         }
 
-    def to_json(self, group: Group) -> str:
-        return json.dumps(self.to_dict(group))
-
 
 # -- session state machines -------------------------------------------------
 
@@ -328,37 +320,37 @@ class _Session:
             raise BindingMismatch("binding record fails zeta recomputation")
         self.group = group
         self.binding = binding
-        self.zeta = binding.zeta
         self.rng = rng
         self.phase = Phase.IDLE
         self.failure: Optional[Reason] = None
         self.ops = OpCounts()
-        self._key: Optional[SessionKey] = None
+        self.session_key: Optional[SessionKey] = None
         self._nonce: Optional[int] = None  # the party's one ephemeral secret: D's r, P's r_p
-
-    @property
-    def session_key(self) -> Optional[SessionKey]:
-        return self._key
 
     def _require_phase(self, expected: Phase) -> None:
         if self.phase is not expected:
             raise SessionError(f"operation requires phase {expected.name}, in {self.phase.name}")
 
     def _establish(self, shared: Element) -> SessionKey:
-        """Hash the shared point into the session key; erases the nonce."""
+        """Hash the shared point and zeta into the session key; erases the nonce."""
         self.ops.hash += 1
-        self._key = derive_session_key(self.group, shared, self.zeta)
+        self.session_key = SessionKey(hash_h1_bytes(self.group.encode(shared), self.binding.zeta))
         self.phase = Phase.KEY_ESTABLISHED
         self._nonce = None
-        return self._key
+        return self.session_key
 
     def _fail(self, reason: Reason) -> List[Message]:
         """Fail the session; returns the reject verdict to send the peer."""
         self.phase = Phase.FAILED
         self.failure = reason
-        self._key = None
+        self.session_key = None
         self._nonce = None
         return [Verdict(False, reason)]
+
+    def _reject(self, reason: Reason, detail: str = "") -> NoReturn:
+        """A step's check failed: fail the session and raise for ``receive`` to answer."""
+        self._fail(reason)
+        raise VerificationFailure(reason, detail)
 
     def timeout(self) -> None:
         """Simulator-injected timeout event; terminal unless already done."""
@@ -376,7 +368,7 @@ class _Session:
         erasing a key already derived, since the peer holds none.
         A message of the wrong type, or one its step does not expect in
         the current phase, fails the session with an out-of-order verdict;
-        a step's own VerificationFailure is answered with its reason.
+        a step's rejection is answered with its reason.
         """
         if self.phase is Phase.FAILED:
             return []
@@ -420,7 +412,6 @@ class EntitySession(_Session):
         if binding.pk_d == group.identity:
             raise BindingMismatch("twin public key must not be the identity element")
         self.keys = keys
-        self.twin_pk = binding.pk_d
         self.schnorr_verified = False
         self._alpha: Optional[Element] = None
         self._c: Optional[int] = None
@@ -429,26 +420,22 @@ class EntitySession(_Session):
         """Issue a challenge bound to the commitment, zeta, and a fresh nonce."""
         self._require_phase(Phase.IDLE)
         if not self.group.is_member(commit.alpha) or commit.alpha == self.group.identity:
-            self._fail(Reason.DEGENERATE_COMMITMENT)
-            raise VerificationFailure(Reason.DEGENERATE_COMMITMENT, "degenerate commitment")
+            self._reject(Reason.DEGENERATE_COMMITMENT, "degenerate commitment")
         nonce = self.rng.randbytes(32)
-        c = hash_to_scalar(self.group, self.group.encode(commit.alpha), self.zeta, nonce)
+        c = hash_to_scalar(self.group, self.group.encode(commit.alpha), self.binding.zeta, nonce)
         self.ops.hash += 1
         self._alpha = commit.alpha
         self._c = c
         self.phase = Phase.CHALLENGED
         return Challenge(c)
 
-    def verify_response(self, resp: Response) -> bool:
+    def verify_response(self, resp: Response) -> None:
         """Check the verification equation; failure is terminal."""
         self._require_phase(Phase.CHALLENGED)
-        ok = schnorr_verify(self.group, self.twin_pk, self._alpha, self._c, resp.z, self.ops)
-        if not ok:
-            self._fail(Reason.BAD_PROOF)
-            return False
+        if not schnorr_verify(self.group, self.binding.pk_d, self._alpha, self._c, resp.z, self.ops):
+            self._reject(Reason.BAD_PROOF, "response fails the verification equation")
         self.schnorr_verified = True
         self.phase = Phase.RESPONSE_RECEIVED
-        return True
 
     def identity_proof(self) -> IdentityProof:
         """Reveal the identity hash and a fresh ephemeral share g^{r_p}."""
@@ -463,7 +450,7 @@ class EntitySession(_Session):
         """Session key from pk_d^{h_sp + r_p} and zeta; erases r_p."""
         self._require_phase(Phase.IDENTITY_VERIFIED)
         exponent = (self.keys.h_sp + self._nonce) % self.group.q
-        shared = self.group.exp(self.twin_pk, exponent)
+        shared = self.group.exp(self.binding.pk_d, exponent)
         self.ops.group_exp += 1
         return self._establish(shared)
 
@@ -471,12 +458,11 @@ class EntitySession(_Session):
         if isinstance(msg, Commit):
             return [self.challenge(msg)]
         if isinstance(msg, Response):
-            if not self.verify_response(msg):
-                return [Verdict(False, Reason.BAD_PROOF)]
+            self.verify_response(msg)
             proof = self.identity_proof()
             self.derive_key()
             return [proof]
-        return self._fail(Reason.OUT_OF_ORDER)
+        self._reject(Reason.OUT_OF_ORDER, f"unexpected {msg.label}")
 
 
 class TwinSession(_Session):
@@ -492,7 +478,6 @@ class TwinSession(_Session):
         if binding.pk_p == group.identity:
             raise BindingMismatch("entity public key must not be the identity element")
         self.twin = twin
-        self.entity_pk = binding.pk_p
         self.identity_verified = False
         self._r_p_pub: Optional[Element] = None
 
@@ -514,32 +499,25 @@ class TwinSession(_Session):
         challenge outside [0, q) fails the session, as its encoding would."""
         self._require_phase(Phase.COMMITMENT_SENT)
         if not 0 <= ch.c < self.group.q:
-            self._fail(Reason.OUT_OF_ORDER)
-            raise VerificationFailure(Reason.OUT_OF_ORDER, f"challenge scalar out of range: {ch.c}")
+            self._reject(Reason.OUT_OF_ORDER, f"challenge scalar out of range: {ch.c}")
         z = schnorr_response(self.group, self._nonce, ch.c, self.twin.sk_d)
         self._nonce = None
         self.phase = Phase.RESPONSE_SENT
         return Response(z)
 
-    def verify_identity(self, proof: IdentityProof) -> bool:
-        """Check g^h_sp == pk_p; failure (or a zero h_sp) is terminal."""
+    def verify_identity(self, proof: IdentityProof) -> None:
+        """Check R_p's membership and g^h_sp == pk_p; failure (or a zero h_sp) is terminal."""
         self._require_phase(Phase.RESPONSE_SENT)
-        if not self.group.is_member(proof.r_p_pub):
-            self._fail(Reason.BAD_IDENTITY)
-            return False
-        ok = identity_check(self.group, self.entity_pk, proof.h_sp, self.ops)
-        if not ok:
-            self._fail(Reason.BAD_IDENTITY)
-            return False
+        if not (self.group.is_member(proof.r_p_pub) and identity_check(self.group, self.binding.pk_p, proof.h_sp, self.ops)):
+            self._reject(Reason.BAD_IDENTITY, "identity proof rejected")
         self.identity_verified = True
         self._r_p_pub = proof.r_p_pub
         self.phase = Phase.IDENTITY_VERIFIED
-        return True
 
     def derive_key(self) -> SessionKey:
         """Session key from (pk_p * R_p)^{sk_d} and zeta."""
         self._require_phase(Phase.IDENTITY_VERIFIED)
-        combined = self.group.mul(self.entity_pk, self._r_p_pub)
+        combined = self.group.mul(self.binding.pk_p, self._r_p_pub)
         shared = self.group.exp(combined, self.twin.sk_d)
         self.ops.group_mul += 1
         self.ops.group_exp += 1
@@ -549,22 +527,16 @@ class TwinSession(_Session):
         if isinstance(msg, Challenge):
             return [self.respond(msg)]
         if isinstance(msg, IdentityProof):
-            if not self.verify_identity(msg):
-                return [Verdict(False, Reason.BAD_IDENTITY)]
+            self.verify_identity(msg)
             self.derive_key()
             return [Verdict(True)]
-        return self._fail(Reason.OUT_OF_ORDER)
-
-
-def deliver(recipient: _Session, msg: Message) -> List[Message]:
-    """The plain hop: hand the message to its recipient."""
-    return recipient.receive(msg)
+        self._reject(Reason.OUT_OF_ORDER, f"unexpected {msg.label}")
 
 
 def pump(
     entity: EntitySession,
     twin: TwinSession,
-    hop: Callable[[_Session, Message], List[Message]] = deliver,
+    hop: Callable[[_Session, Message], List[Message]] = lambda recipient, msg: recipient.receive(msg),
 ) -> List[str]:
     """Run one session: open with ``twin.commit()``, then hand each message
     and its recipient to ``hop``, which returns the recipient's replies,

@@ -218,6 +218,20 @@ class SessionMetrics:
         return m
 
 
+def unreadable_row(report) -> Optional[str]:
+    """The first row of ``report`` not an object with every field, by index (or position), and why."""
+    rows = report.get("sessions") if isinstance(report, dict) else None
+    for position, row in enumerate(rows if isinstance(rows, list) else []):
+        if not isinstance(row, dict):
+            return f"row {position} is not an object"
+        name = f"session {row['index']!r}" if "index" in row else f"row {position}"
+        ops = row["ops"] if isinstance(row.get("ops"), dict) else {}
+        shapeless = [f"ops.{party} (an object of op counts)" for party in "pd"
+                     if not (isinstance(ops.get(party), dict) and ops[party].keys() <= set(OP_NAMES))]
+        if lacking := [field for field in _ROW_TYPES if field not in row] + shapeless:
+            return f"{name} lacks {lacking[0]}"
+
+
 _SLOT = "\0"  # a string no config or aggregates block holds (their strings are checked names)
 _SLOT_JSON = re.compile(r'"\\u0000([\w.]*)"')
 

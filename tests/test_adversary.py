@@ -131,7 +131,8 @@ class TestKci:
         d = twin(toy_env, 77)
         d.commit()
         d.receive(Challenge(4))
-        assert d.verify_identity(IdentityProof(7, 4))
+        d.verify_identity(IdentityProof(7, 4))
+        assert d.identity_verified
 
     def test_production_kci_never_accepted(self, p256_env):
         for s in range(60):

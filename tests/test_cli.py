@@ -487,6 +487,13 @@ class TestReport:
             (_Recomputed(auth_latency_ms=math.inf), ("session 0", "auth_latency_ms", "finite")),
             (_Recomputed(auth_latency_ms=math.nan), ("session 0", "auth_latency_ms", "finite")),
             (_Recomputed(key_establish_ms=math.inf), ("session 0", "key_establish_ms", "finite")),
+            # an edit of the rows list: a row that is not an object with every field
+            # is named by its index, or by its position when it has none
+            (lambda rows: rows[0].pop("detail"), ("session 0", "lacks detail")),
+            (lambda rows: rows.__setitem__(3, [1]), ("row 3", "not an object")),
+            (lambda rows: rows[0]["ops"].pop("p"), ("session 0", "lacks ops.p")),
+            (lambda rows: rows[5].pop("index"), ("row 5", "lacks index")),
+            (lambda rows: rows[2]["ops"]["d"].update(joules=1), ("session 2", "ops.d", "op counts")),
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
@@ -500,6 +507,8 @@ class TestReport:
                 weights = CampaignConfig.from_dict(obj["config"]).energy_weights
                 obj["aggregates"] = compute_aggregates(metrics, weights)
                 obj["sessions"][0] = metrics[0].to_dict()
+            elif callable(edit):
+                edit(obj["sessions"])
             elif edit.keys() & {"aggregates", "config"}:
                 obj.update(edit)
             else:

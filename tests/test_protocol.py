@@ -2,9 +2,10 @@ import hashlib
 import json
 import random
 import struct
+from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from przkbind.groups import get_group
@@ -25,6 +26,7 @@ from przkbind.protocol import (
     Verdict,
     VerificationFailure,
     WireError,
+    _Session,
     decode_message,
     encode_message,
     extract_secret,
@@ -207,19 +209,21 @@ class TestTwinSession:
         d = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d.commit()
         d.respond(Challenge(4))
-        assert d.verify_identity(IdentityProof(7, 4))
-        assert d.phase is Phase.IDENTITY_VERIFIED
+        d.verify_identity(IdentityProof(7, 4))
+        assert d.phase is Phase.IDENTITY_VERIFIED and d.identity_verified
 
         d2 = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d2.commit()
         d2.respond(Challenge(4))
-        assert not d2.verify_identity(IdentityProof(8, 4))
+        with pytest.raises(VerificationFailure):
+            d2.verify_identity(IdentityProof(8, 4))
         assert d2.phase is Phase.FAILED and d2.failure is Reason.BAD_IDENTITY
 
         d3 = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d3.commit()
         d3.respond(Challenge(4))
-        assert not d3.verify_identity(IdentityProof(0, 4))
+        with pytest.raises(VerificationFailure):
+            d3.verify_identity(IdentityProof(0, 4))
 
     def test_binding_record_must_match_twin_key(self, toy_env):
         other = TwinKeyPair(4, toy_env["group"].exp(2, 4))
@@ -267,7 +271,8 @@ class TestEntitySession:
         p = make_entity(toy_env)
         ch = p.challenge(Commit(9))
         bad = (schnorr_response(toy_env["group"], 0, ch.c, 999) + 1) % 11
-        assert not p.verify_response(Response(bad))
+        with pytest.raises(VerificationFailure):
+            p.verify_response(Response(bad))
         assert p.phase is Phase.FAILED and p.failure is Reason.BAD_PROOF
         assert not p.schnorr_verified
 
@@ -276,7 +281,8 @@ class TestEntitySession:
         ch = p.challenge(Commit(9))
         # impersonate the twin honestly: we know r=5, sk_d=3 in the fixture
         z = schnorr_response(toy_env["group"], 5, ch.c, 3)
-        assert p.verify_response(Response(z))
+        p.verify_response(Response(z))
+        assert p.schnorr_verified
         proof = p.identity_proof()
         assert proof == IdentityProof(7, 4)  # r_p = 2 -> 2^2 = 4
         assert p.ephemeral_debug() == "held"
@@ -520,6 +526,131 @@ class TestStateMachineSafety:
         assert outcomes["d_established"] > 0
 
 
+def _challenged_entity(env):
+    p = make_entity(env)
+    ch = p.challenge(Commit(9))  # alpha = g^5; a response off by one fails the equation
+    return p, Response((schnorr_response(env["group"], 5, ch.c, env["twin"].sk_d) + 1) % 11)
+
+
+def _responded_twin(proof):
+    def setup(env):
+        d = make_twin(env, ScriptedRng(randranges=[5]))
+        d.commit()
+        d.respond(Challenge(4))
+        return d, proof
+
+    return setup
+
+
+def _committed_twin(env):
+    d = make_twin(env)
+    d.commit()
+    return d, Challenge(11)  # q itself: outside [0, q)
+
+
+# Each rejecting check -> (a session at its phase and the input it rejects,
+# the step that checks it, the reason).
+REJECTIONS = {
+    "degenerate commitment": (
+        lambda env: (make_entity(env), Commit(env["group"].identity)), "challenge", Reason.DEGENERATE_COMMITMENT
+    ),
+    "challenge out of range": (_committed_twin, "respond", Reason.OUT_OF_ORDER),
+    "bad proof": (_challenged_entity, "verify_response", Reason.BAD_PROOF),
+    "wrong identity hash": (_responded_twin(IdentityProof(8, 4)), "verify_identity", Reason.BAD_IDENTITY),
+    "zero identity hash": (_responded_twin(IdentityProof(0, 4)), "verify_identity", Reason.BAD_IDENTITY),
+    "non-member share": (_responded_twin(IdentityProof(7, 5)), "verify_identity", Reason.BAD_IDENTITY),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_every_check_rejects_through_one_path(toy_env, monkeypatch, case):
+    # called directly, the step fails the session and raises through _reject;
+    # fed to receive, the same input gets exactly the reject verdict
+    setup, step, reason = REJECTIONS[case]
+    rejected = []
+    reject = _Session._reject
+    monkeypatch.setattr(_Session, "_reject", lambda self, *args: rejected.append(args[0]) or reject(self, *args))
+    direct, msg = setup(toy_env)
+    with pytest.raises(VerificationFailure) as raised:
+        getattr(direct, step)(msg)
+    assert raised.value.reason is reason and rejected == [reason]
+    received, msg = setup(toy_env)
+    assert received.receive(msg) == [Verdict(False, reason)]
+    for session in (direct, received):
+        assert session.phase is Phase.FAILED and session.failure is reason
+        assert session.session_key is None and session.ephemeral_debug() == "erased"
+
+
+# Each party, in pump's seat order -> how many messages an honest session
+# sends it, and the check that must have passed before it holds a key.
+PARTIES = {"entity": (3, "schnorr_verified"), "twin": (2, "identity_verified")}
+
+
+def _party_after(env, party, k):
+    """A fresh entity or twin fed the first k messages an honest session sent it:
+    each party's rng is seeded, so it replays the honest run up to there."""
+    group, record = env["group"], env["record"]
+
+    def parties():
+        return (EntitySession(group, env["keys"], record, random.Random(41)),
+                TwinSession(group, env["twin"], record, random.Random(42)))
+
+    honest = dict(zip(PARTIES, parties()))
+    inbox = {seat: [] for seat in honest.values()}
+    pump(*honest.values(), lambda recipient, msg: inbox[recipient].append(msg) or recipient.receive(msg))
+    session = dict(zip(PARTIES, parties()))[party]
+    if party == "twin":
+        session.commit()
+    for msg in inbox[honest[party]][:k]:
+        session.receive(msg)
+    return session
+
+
+def _wire_bytes(group):
+    """Arbitrary bytes, frames of the right size with random payloads, and the
+    encodings of well-formed steps and verdicts holding random values."""
+    scalar = st.integers(0, group.q - 1)
+    element = scalar.map(lambda e: group.exp(group.g, e))
+    sizes = {0x01: group.element_size, 0x02: group.scalar_size, 0x03: group.scalar_size,
+             0x04: group.scalar_size + group.element_size, 0x05: 2}
+    framed = st.sampled_from(sorted(sizes)).flatmap(
+        lambda tag: st.binary(min_size=sizes[tag], max_size=sizes[tag]).map(
+            lambda payload: bytes([tag]) + struct.pack(">I", len(payload)) + payload
+        )
+    )
+    steps = st.one_of(
+        st.builds(Commit, element),
+        st.builds(Challenge, scalar),
+        st.builds(Response, scalar),
+        st.builds(IdentityProof, scalar, element),
+    )
+    verdicts = st.builds(Verdict, st.booleans(), st.sampled_from([None, *Reason]))
+    encoded = [messages.map(partial(encode_message, group)) for messages in (steps, verdicts)]
+    return st.one_of(st.binary(max_size=40), framed, *encoded)
+
+
+@pytest.mark.parametrize("party", list(PARTIES))
+@pytest.mark.parametrize("env_name", ["toy_env", "p256_env"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_arbitrary_bytes_never_key_an_unverified_party(env_name, party, request, data):
+    # after an honest prefix to any phase, no bytes give a party a key its own
+    # check did not pass, and every rejection leaves it failed and erased
+    env = request.getfixturevalue(env_name)
+    inbox_size, verified = PARTIES[party]
+    session = _party_after(env, party, data.draw(st.integers(0, inbox_size), label="prefix"))
+    for raw in data.draw(st.lists(_wire_bytes(env["group"]), min_size=1, max_size=4), label="wire"):
+        replies = session.receive_bytes(raw)
+        if session.session_key is not None:
+            assert getattr(session, verified) and session.phase is Phase.KEY_ESTABLISHED
+        if session.phase is Phase.FAILED:
+            assert isinstance(session.failure, Reason)
+            assert session.session_key is None and session.ephemeral_debug() == "erased"
+        for reply in replies:
+            if isinstance(reply, Verdict) and not reply.accept:
+                assert session.phase is Phase.FAILED and session.failure is reply.reason
+
+
 def _fuzz_symbols(env):
     toy = env["group"]
 
@@ -604,8 +735,7 @@ class TestTranscriptSecrecy:
     def test_serialized_transcript_holds_only_public_values(self, toy_env):
         p, d = make_entity(toy_env), make_twin(toy_env)
         transcript = run_interactive_session(p, d)
-        blob = transcript.to_json(toy_env["group"])
-        parsed = json.loads(blob)
+        parsed = json.loads(json.dumps(transcript.to_dict(toy_env["group"])))
         assert set(parsed) == {"alpha", "c", "z", "h_sp", "r_p_pub", "verdict", "timestamps"}
 
     def test_emitted_bytes_never_contain_secrets(self, p256_env):
@@ -627,14 +757,14 @@ class TestTranscriptSecrecy:
         r_nonce = d._nonce
         ch = send(p.challenge(commit))
         resp = send(d.respond(ch))
-        assert p.verify_response(resp)
+        p.verify_response(resp)
         proof = send(p.identity_proof())
         r_p = p._nonce
         p.derive_key()
-        assert d.verify_identity(proof)
+        d.verify_identity(proof)
         d.derive_key()
         send(Verdict(True))
-        emitted.extend(transcript.to_json(group).encode())
+        emitted.extend(json.dumps(transcript.to_dict(group)).encode())
 
         secrets = {
             "identity secret": p256_env["identity"].s_p,
