@@ -10,12 +10,13 @@ physical entity (P), followed by a closing verdict from D:
     D -> P  verdict         binding confirmed / abort reason
 
 P accepts the twin iff g^z == alpha * pk_d^c; D accepts the entity iff
-g^h_sp == pk_p. Both sides then derive the same session key from the
-static-ephemeral shared point (pk_p * R_p)^{sk_d} == pk_d^{h_sp + r_p}
-hashed together with zeta. Keys are derived silently; the closing
-verdict is a notification, not a key-confirmation round. A reject
-verdict still fails a party that already derived its key and erases
-that key, so no party keeps a key its peer rejected.
+g^h_sp == pk_p. The step that passes a party's check also derives its
+session key, from the static-ephemeral shared point
+(pk_p * R_p)^{sk_d} == pk_d^{h_sp + r_p} hashed together with zeta. Keys
+are derived silently; the closing verdict is a notification, not a
+key-confirmation round. A reject verdict still fails a party that
+already derived its key and erases that key, so no party keeps a key
+its peer rejected.
 
 One function, ``pump``, moves every session's messages between the two
 parties; callers observe or alter the traffic through its ``hop``.
@@ -24,8 +25,9 @@ The challenge hashes a fresh 32-byte session nonce along with alpha and
 zeta, so a replayed (alpha, z) meets a different challenge in every new
 session and the verification equation rejects it.
 
-Both state machines follow a strict phase order. A failed check fails
-the session, erasing its ephemeral secret and any key, and raises
+Each party's state machine is one table, ``AWAITS``: the message each
+phase awaits and the step that answers it with one reply. A failed check
+fails the session, erasing its ephemeral secret and any key, and raises
 VerificationFailure; ``receive`` answers it with the reject verdict.
 """
 
@@ -84,8 +86,6 @@ class Phase(Enum):
     COMMITMENT_SENT = "commitment_sent"
     CHALLENGED = "challenged"
     RESPONSE_SENT = "response_sent"
-    RESPONSE_RECEIVED = "response_received"
-    IDENTITY_VERIFIED = "identity_verified"
     KEY_ESTABLISHED = "key_established"
     FAILED = "failed"
 
@@ -309,11 +309,17 @@ class Transcript:
 # -- session state machines -------------------------------------------------
 
 
+_UNAWAITED = (None, None, Reason.OUT_OF_ORDER)  # AWAITS' entry for a phase it does not list
+
+
 class _Session:
     """State shared by both parties' machines."""
 
-    # Phase -> the reason malformed wire bytes fail the session with; else OUT_OF_ORDER.
-    MALFORMED_REASON: ClassVar[Dict[Phase, Reason]] = {}
+    # Phase -> (the message class it awaits, the name of the step answering it with
+    # one reply, the reason malformed wire bytes fail the session with). Any other
+    # message, or a phase not listed, is out of order. Steps are named, not held, so
+    # that a step redefined on the class is the one that runs.
+    AWAITS: ClassVar[Dict[Phase, Tuple[type, str, Reason]]] = {}
 
     def __init__(self, group: Group, binding: BindingRecord, rng):
         if not verify_record(group, binding):
@@ -325,19 +331,17 @@ class _Session:
         self.failure: Optional[Reason] = None
         self.ops = OpCounts()
         self.session_key: Optional[SessionKey] = None
-        self._nonce: Optional[int] = None  # the party's one ephemeral secret: D's r, P's r_p
+        self._nonce: Optional[int] = None  # D's r from commit to respond; P's r_p never outlives its step
 
     def _require_phase(self, expected: Phase) -> None:
         if self.phase is not expected:
             raise SessionError(f"operation requires phase {expected.name}, in {self.phase.name}")
 
-    def _establish(self, shared: Element) -> SessionKey:
-        """Hash the shared point and zeta into the session key; erases the nonce."""
+    def _establish(self, shared: Element) -> None:
+        """Hash the shared point and zeta into the session key."""
         self.ops.hash += 1
         self.session_key = SessionKey(hash_h1_bytes(self.group.encode(shared), self.binding.zeta))
         self.phase = Phase.KEY_ESTABLISHED
-        self._nonce = None
-        return self.session_key
 
     def _fail(self, reason: Reason) -> List[Message]:
         """Fail the session; returns the reject verdict to send the peer."""
@@ -352,11 +356,6 @@ class _Session:
         self._fail(reason)
         raise VerificationFailure(reason, detail)
 
-    def timeout(self) -> None:
-        """Simulator-injected timeout event; terminal unless already done."""
-        if not self.phase.terminal:
-            self._fail(Reason.TIMEOUT)
-
     def ephemeral_debug(self) -> str:
         return "erased" if self._nonce is None else "held"
 
@@ -366,9 +365,9 @@ class _Session:
         Failed sessions accept no further input; established sessions
         only heed a late verdict. A reject verdict fails the session,
         erasing a key already derived, since the peer holds none.
-        A message of the wrong type, or one its step does not expect in
-        the current phase, fails the session with an out-of-order verdict;
-        a step's rejection is answered with its reason.
+        The message the phase awaits in ``AWAITS`` gets its step's one
+        reply; any other fails the session with an out-of-order verdict,
+        and a step's rejection is answered with its reason.
         """
         if self.phase is Phase.FAILED:
             return []
@@ -378,10 +377,11 @@ class _Session:
             return []
         if self.phase is Phase.KEY_ESTABLISHED:
             return []
-        try:
-            return self._dispatch(msg)
-        except SessionError:
+        awaited, step, _ = self.AWAITS.get(self.phase, _UNAWAITED)
+        if type(msg) is not awaited:
             return self._fail(Reason.OUT_OF_ORDER)
+        try:
+            return [getattr(self, step)(msg)]
         except VerificationFailure as vf:
             return self._fail(vf.reason)
 
@@ -392,18 +392,18 @@ class _Session:
         except WireError:
             if self.phase.terminal:
                 return []
-            return self._fail(self.MALFORMED_REASON.get(self.phase, Reason.OUT_OF_ORDER))
+            return self._fail(self.AWAITS.get(self.phase, _UNAWAITED)[2])
         return self.receive(msg)
-
-    def _dispatch(self, msg: Message) -> List[Message]:
-        raise NotImplementedError
 
 
 class EntitySession(_Session):
     """Physical-entity side: challenges the twin's proof, then proves its
     own identity and contributes the ephemeral key share."""
 
-    MALFORMED_REASON = {Phase.IDLE: Reason.DEGENERATE_COMMITMENT, Phase.CHALLENGED: Reason.BAD_PROOF}
+    AWAITS = {
+        Phase.IDLE: (Commit, "challenge", Reason.DEGENERATE_COMMITMENT),
+        Phase.CHALLENGED: (Response, "verify_response", Reason.BAD_PROOF),
+    }
 
     def __init__(self, group: Group, keys: EntityKeys, binding: BindingRecord, rng):
         super().__init__(group, binding, rng)
@@ -429,47 +429,29 @@ class EntitySession(_Session):
         self.phase = Phase.CHALLENGED
         return Challenge(c)
 
-    def verify_response(self, resp: Response) -> None:
-        """Check the verification equation; failure is terminal."""
+    def verify_response(self, resp: Response) -> IdentityProof:
+        """Check the verification equation (failure is terminal), then reveal
+        the identity hash with a fresh ephemeral share R_p = g^{r_p} and
+        derive the session key from pk_d^{h_sp + r_p} and zeta."""
         self._require_phase(Phase.CHALLENGED)
         if not schnorr_verify(self.group, self.binding.pk_d, self._alpha, self._c, resp.z, self.ops):
             self._reject(Reason.BAD_PROOF, "response fails the verification equation")
         self.schnorr_verified = True
-        self.phase = Phase.RESPONSE_RECEIVED
-
-    def identity_proof(self) -> IdentityProof:
-        """Reveal the identity hash and a fresh ephemeral share g^{r_p}."""
-        self._require_phase(Phase.RESPONSE_RECEIVED)
-        self._nonce = scalar_random_nonzero(self.group, self.rng)
-        r_p_pub = self.group.exp(self.group.g, self._nonce)
-        self.ops.group_exp += 1
-        self.phase = Phase.IDENTITY_VERIFIED
+        r_p = scalar_random_nonzero(self.group, self.rng)
+        r_p_pub = self.group.exp(self.group.g, r_p)
+        self.ops.group_exp += 2
+        self._establish(self.group.exp(self.binding.pk_d, (self.keys.h_sp + r_p) % self.group.q))
         return IdentityProof(self.keys.h_sp, r_p_pub)
-
-    def derive_key(self) -> SessionKey:
-        """Session key from pk_d^{h_sp + r_p} and zeta; erases r_p."""
-        self._require_phase(Phase.IDENTITY_VERIFIED)
-        exponent = (self.keys.h_sp + self._nonce) % self.group.q
-        shared = self.group.exp(self.binding.pk_d, exponent)
-        self.ops.group_exp += 1
-        return self._establish(shared)
-
-    def _dispatch(self, msg: Message) -> List[Message]:
-        if isinstance(msg, Commit):
-            return [self.challenge(msg)]
-        if isinstance(msg, Response):
-            self.verify_response(msg)
-            proof = self.identity_proof()
-            self.derive_key()
-            return [proof]
-        self._reject(Reason.OUT_OF_ORDER, f"unexpected {msg.label}")
 
 
 class TwinSession(_Session):
     """Digital-twin side: proves knowledge of sk_d, verifies the entity's
     identity hash, and derives the session key from the ephemeral share."""
 
-    MALFORMED_REASON = {Phase.RESPONSE_SENT: Reason.BAD_IDENTITY}
+    AWAITS = {
+        Phase.COMMITMENT_SENT: (Challenge, "respond", Reason.OUT_OF_ORDER),
+        Phase.RESPONSE_SENT: (IdentityProof, "verify_identity", Reason.BAD_IDENTITY),
+    }
 
     def __init__(self, group: Group, twin: TwinKeyPair, binding: BindingRecord, rng):
         super().__init__(group, binding, rng)
@@ -479,7 +461,6 @@ class TwinSession(_Session):
             raise BindingMismatch("entity public key must not be the identity element")
         self.twin = twin
         self.identity_verified = False
-        self._r_p_pub: Optional[Element] = None
 
     def commit(self) -> Commit:
         """Open the session with a fresh commitment alpha = g^r.
@@ -505,32 +486,17 @@ class TwinSession(_Session):
         self.phase = Phase.RESPONSE_SENT
         return Response(z)
 
-    def verify_identity(self, proof: IdentityProof) -> None:
-        """Check R_p's membership and g^h_sp == pk_p; failure (or a zero h_sp) is terminal."""
+    def verify_identity(self, proof: IdentityProof) -> Verdict:
+        """Check R_p's membership and g^h_sp == pk_p (failure, or a zero h_sp,
+        is terminal), then derive the session key from (pk_p * R_p)^{sk_d} and zeta."""
         self._require_phase(Phase.RESPONSE_SENT)
         if not (self.group.is_member(proof.r_p_pub) and identity_check(self.group, self.binding.pk_p, proof.h_sp, self.ops)):
             self._reject(Reason.BAD_IDENTITY, "identity proof rejected")
         self.identity_verified = True
-        self._r_p_pub = proof.r_p_pub
-        self.phase = Phase.IDENTITY_VERIFIED
-
-    def derive_key(self) -> SessionKey:
-        """Session key from (pk_p * R_p)^{sk_d} and zeta."""
-        self._require_phase(Phase.IDENTITY_VERIFIED)
-        combined = self.group.mul(self.binding.pk_p, self._r_p_pub)
-        shared = self.group.exp(combined, self.twin.sk_d)
         self.ops.group_mul += 1
         self.ops.group_exp += 1
-        return self._establish(shared)
-
-    def _dispatch(self, msg: Message) -> List[Message]:
-        if isinstance(msg, Challenge):
-            return [self.respond(msg)]
-        if isinstance(msg, IdentityProof):
-            self.verify_identity(msg)
-            self.derive_key()
-            return [Verdict(True)]
-        self._reject(Reason.OUT_OF_ORDER, f"unexpected {msg.label}")
+        self._establish(self.group.exp(self.group.mul(self.binding.pk_p, proof.r_p_pub), self.twin.sk_d))
+        return Verdict(True)
 
 
 def pump(

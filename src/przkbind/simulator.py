@@ -204,8 +204,8 @@ class SessionMetrics:
         if m.kind not in _SESSION_KINDS:
             raise TypeError(f"session {m.index!r}: kind {m.kind!r} is not a session kind")
         counts = _op_counts(m.ops_p) + _op_counts(m.ops_d)
-        if set(map(type, counts)) != {int}:
-            raise TypeError(f"session {m.index!r}: ops has the wrong type")
+        if set(map(type, counts)) != {int} or {len(ops["p"]), len(ops["d"])} != {len(OP_NAMES)}:
+            raise TypeError(f"session {m.index!r}: ops has the wrong type or lacks an op count")
         for name in _LATENCIES:
             if not 0 <= (getattr(m, name) or 0) < math.inf:
                 raise ValueError(f"session {m.index!r}: latency {name} is negative or not finite")
@@ -227,7 +227,7 @@ def unreadable_row(report) -> Optional[str]:
         name = f"session {row['index']!r}" if "index" in row else f"row {position}"
         ops = row["ops"] if isinstance(row.get("ops"), dict) else {}
         shapeless = [f"ops.{party} (an object of op counts)" for party in "pd"
-                     if not (isinstance(ops.get(party), dict) and ops[party].keys() <= set(OP_NAMES))]
+                     if not (isinstance(ops.get(party), dict) and ops[party].keys() == set(OP_NAMES))]
         if lacking := [field for field in _ROW_TYPES if field not in row] + shapeless:
             return f"{name} lacks {lacking[0]}"
 

@@ -181,12 +181,11 @@ def test_criterion_5_key_derivation_identity(toy_fixture):
     d.commit()
     d.respond(Challenge(4))
     d.verify_identity(IdentityProof(7, 4))
-    dk = d.derive_key()
+    dk = d.session_key
     p = EntitySession(toy, toy_fixture["keys"], toy_fixture["record"], ScriptedRng(randranges=[2]))
     ch = p.challenge(Commit(9))
     p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
-    p.identity_proof()
-    pk = p.derive_key()
+    pk = p.session_key
     assert dk.k_pd == pk.k_pd
 
     for group_id in ("toy", "p256"):

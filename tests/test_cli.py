@@ -402,7 +402,12 @@ class TestSimulate:
 
 class _Recomputed(dict):
     """A report-row edit after which the aggregates are recomputed to match,
-    so that only the check on the row itself can catch it."""
+    so that only the check on the row itself can catch it; ``then`` edits the
+    rewritten row."""
+
+    def __init__(self, then=lambda row: None, **fields):
+        super().__init__(fields)
+        self.then = then
 
 
 class TestReport:
@@ -494,6 +499,8 @@ class TestReport:
             (lambda rows: rows[0]["ops"].pop("p"), ("session 0", "lacks ops.p")),
             (lambda rows: rows[5].pop("index"), ("row 5", "lacks index")),
             (lambda rows: rows[2]["ops"]["d"].update(joules=1), ("session 2", "ops.d", "op counts")),
+            # zero counts, written as an empty object, still lack every op name
+            (_Recomputed(ops_p=OpCounts(), then=lambda row: row["ops"]["p"].clear()), ("session 0", "lacks ops.p")),
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
@@ -507,6 +514,7 @@ class TestReport:
                 weights = CampaignConfig.from_dict(obj["config"]).energy_weights
                 obj["aggregates"] = compute_aggregates(metrics, weights)
                 obj["sessions"][0] = metrics[0].to_dict()
+                edit.then(obj["sessions"][0])
             elif callable(edit):
                 edit(obj["sessions"])
             elif edit.keys() & {"aggregates", "config"}:

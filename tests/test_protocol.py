@@ -25,6 +25,7 @@ from przkbind.protocol import (
     TwinSession,
     Verdict,
     VerificationFailure,
+    WIRE,
     WireError,
     _Session,
     decode_message,
@@ -209,8 +210,8 @@ class TestTwinSession:
         d = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d.commit()
         d.respond(Challenge(4))
-        d.verify_identity(IdentityProof(7, 4))
-        assert d.phase is Phase.IDENTITY_VERIFIED and d.identity_verified
+        assert d.verify_identity(IdentityProof(7, 4)) == Verdict(True)
+        assert d.phase is Phase.KEY_ESTABLISHED and d.identity_verified
 
         d2 = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d2.commit()
@@ -281,13 +282,9 @@ class TestEntitySession:
         ch = p.challenge(Commit(9))
         # impersonate the twin honestly: we know r=5, sk_d=3 in the fixture
         z = schnorr_response(toy_env["group"], 5, ch.c, 3)
-        p.verify_response(Response(z))
+        assert p.verify_response(Response(z)) == IdentityProof(7, 4)  # r_p = 2 -> 2^2 = 4
         assert p.schnorr_verified
-        proof = p.identity_proof()
-        assert proof == IdentityProof(7, 4)  # r_p = 2 -> 2^2 = 4
-        assert p.ephemeral_debug() == "held"
-        p.derive_key()
-        assert p.ephemeral_debug() == "erased"
+        assert p.phase is Phase.KEY_ESTABLISHED and p.ephemeral_debug() == "erased"
 
     def test_binding_record_must_match_entity_key(self, toy_env):
         other_keys = EntityKeys(9, toy_env["group"].exp(2, 9))
@@ -320,13 +317,12 @@ class TestKeyDerivation:
         d.commit()
         d.respond(Challenge(4))
         d.verify_identity(IdentityProof(7, 4))
-        dk = d.derive_key()
+        dk = d.session_key
 
         p = make_entity(toy_env, ScriptedRng(randranges=[2]))
         ch = p.challenge(Commit(9))
         p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
-        p.identity_proof()
-        pk = p.derive_key()
+        pk = p.session_key
 
         assert dk.k_pd == pk.k_pd
         # standalone oracle: sha256 over the tagged framing of (enc(9), zeta)
@@ -346,8 +342,7 @@ class TestKeyDerivation:
             p = EntitySession(toy, toy_env["keys"], record, ScriptedRng(randranges=[2]))
             ch = p.challenge(Commit(9))
             p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
-            p.identity_proof()
-            return p.derive_key()
+            return p.session_key
 
         assert run(toy_env["record"]).k_pd != run(other_record).k_pd
 
@@ -358,8 +353,7 @@ class TestKeyDerivation:
             p = make_entity(toy_env, ScriptedRng(randranges=[r_p]))
             ch = p.challenge(Commit(9))
             p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
-            p.identity_proof()
-            return p.derive_key()
+            return p.session_key
 
         assert run(2).k_pd != run(3).k_pd
 
@@ -377,11 +371,11 @@ class TestKeyDerivation:
                 same_exponent = (h_sp + a) % 11 == (h_sp + b) % 11
                 assert (points[a] == points[b]) is same_exponent
 
-    def test_derive_key_out_of_phase(self, toy_env):
+    def test_key_deriving_steps_out_of_phase(self, toy_env):
         with pytest.raises(SessionError):
-            make_entity(toy_env).derive_key()
+            make_entity(toy_env).verify_response(Response(0))
         with pytest.raises(SessionError):
-            make_twin(toy_env).derive_key()
+            make_twin(toy_env).verify_identity(IdentityProof(7, 4))
 
 
 class TestEndToEnd:
@@ -485,16 +479,12 @@ class TestStateMachineSafety:
         assert p2.session_key.k_pd == d2.session_key.k_pd
 
     def test_timeout_event(self, toy_env):
+        # a peer's timeout arrives as its reject verdict and erases the nonce r
         d = make_twin(toy_env)
         d.commit()
-        d.timeout()
+        assert d.receive(Verdict(False, Reason.TIMEOUT)) == []
         assert d.phase is Phase.FAILED and d.failure is Reason.TIMEOUT
         assert d.ephemeral_debug() == "erased"
-        # timeout after establishment is a no-op
-        p2, d2 = make_entity(toy_env), make_twin(toy_env)
-        run_interactive_session(p2, d2)
-        d2.timeout()
-        assert d2.phase is Phase.KEY_ESTABLISHED
 
     def test_malformed_bytes_fail_with_phase_appropriate_reason(self, toy_env):
         p = make_entity(toy_env)
@@ -586,24 +576,66 @@ def test_every_check_rejects_through_one_path(toy_env, monkeypatch, case):
 PARTIES = {"entity": (3, "schnorr_verified"), "twin": (2, "identity_verified")}
 
 
+def _seeded_parties(env):
+    group, record = env["group"], env["record"]
+    return dict(zip(PARTIES, (EntitySession(group, env["keys"], record, random.Random(41)),
+                              TwinSession(group, env["twin"], record, random.Random(42)))))
+
+
+def _honest_inbox(env, party):
+    """The messages an honest session between the seeded parties sent ``party``."""
+    honest = _seeded_parties(env)
+    inbox = {seat: [] for seat in honest.values()}
+    pump(*honest.values(), lambda recipient, msg: inbox[recipient].append(msg) or recipient.receive(msg))
+    return inbox[honest[party]]
+
+
 def _party_after(env, party, k):
     """A fresh entity or twin fed the first k messages an honest session sent it:
     each party's rng is seeded, so it replays the honest run up to there."""
-    group, record = env["group"], env["record"]
-
-    def parties():
-        return (EntitySession(group, env["keys"], record, random.Random(41)),
-                TwinSession(group, env["twin"], record, random.Random(42)))
-
-    honest = dict(zip(PARTIES, parties()))
-    inbox = {seat: [] for seat in honest.values()}
-    pump(*honest.values(), lambda recipient, msg: inbox[recipient].append(msg) or recipient.receive(msg))
-    session = dict(zip(PARTIES, parties()))[party]
+    session = _seeded_parties(env)[party]
     if party == "twin":
         session.commit()
-    for msg in inbox[honest[party]][:k]:
+    for msg in _honest_inbox(env, party)[:k]:
         session.receive(msg)
     return session
+
+
+# A value of each message class a step can await (the verdict is heeded in every phase).
+STEP_MESSAGES = {Commit: Commit(9), Challenge: Challenge(4), Response: Response(6), IdentityProof: IdentityProof(7, 4)}
+
+
+@pytest.mark.parametrize("party", list(PARTIES))
+def test_awaits_table_answers_each_phase_and_message(toy_env, party):
+    # the party's whole table on toy, and the uncommitted twin's IDLE, which it
+    # does not list: the awaited class (the honest run's message) gets its step's
+    # one reply, every other class is out of order, and bytes that do not decode
+    # get the entry's reason
+    table, inbox = _seeded_parties(toy_env)[party].AWAITS, _honest_inbox(toy_env, party)
+    starts = {k: partial(_party_after, toy_env, party, k) for k in range(len(inbox))}
+    if party == "twin":
+        starts[None] = partial(make_twin, toy_env)
+    seen = set()
+    for k, start in starts.items():
+        phase = start().phase
+        if phase.terminal:
+            continue
+        seen.add(phase)
+        awaited, step, malformed = table.get(phase, (None, None, Reason.OUT_OF_ORDER))
+        for cls in WIRE:
+            session = start()
+            if cls is awaited:
+                assert type(inbox[k]) is cls
+                direct = start()
+                assert session.receive(inbox[k]) == [getattr(direct, step)(inbox[k])]
+                assert session.phase is direct.phase is not Phase.FAILED
+            else:
+                assert session.receive(STEP_MESSAGES[cls]) == [Verdict(False, Reason.OUT_OF_ORDER)]
+                assert session.phase is Phase.FAILED and session.failure is Reason.OUT_OF_ORDER
+        session = start()
+        assert session.receive_bytes(b"garbage-bytes") == [Verdict(False, malformed)]
+        assert session.phase is Phase.FAILED and session.ephemeral_debug() == "erased"
+    assert seen >= set(table)
 
 
 def _wire_bytes(group):
@@ -739,10 +771,12 @@ class TestTranscriptSecrecy:
         assert set(parsed) == {"alpha", "c", "z", "h_sp", "r_p_pub", "verdict", "timestamps"}
 
     def test_emitted_bytes_never_contain_secrets(self, p256_env):
-        # drive the session step-wise so the ephemerals can be captured
-        # before erasure, then scan every emitted byte for their encodings
+        # pin the entity's ephemeral r_p and drive the session step-wise so
+        # the twin's nonce can be captured before erasure, then scan every
+        # emitted byte for their encodings
         group = p256_env["group"]
-        p = EntitySession(group, p256_env["keys"], p256_env["record"], random.Random(31))
+        r_p = random.Random(33).randrange(1, group.q)
+        p = EntitySession(group, p256_env["keys"], p256_env["record"], ScriptedRng(randranges=[r_p], seed=31))
         d = TwinSession(group, p256_env["twin"], p256_env["record"], random.Random(32))
 
         transcript = Transcript()
@@ -757,13 +791,9 @@ class TestTranscriptSecrecy:
         r_nonce = d._nonce
         ch = send(p.challenge(commit))
         resp = send(d.respond(ch))
-        p.verify_response(resp)
-        proof = send(p.identity_proof())
-        r_p = p._nonce
-        p.derive_key()
-        d.verify_identity(proof)
-        d.derive_key()
-        send(Verdict(True))
+        proof = send(p.verify_response(resp))
+        assert proof.r_p_pub == group.exp(group.g, r_p)
+        send(d.verify_identity(proof))
         emitted.extend(json.dumps(transcript.to_dict(group)).encode())
 
         secrets = {
