@@ -67,7 +67,7 @@ def _load_json(path: Path, error: Callable[[str], Exception]):
     """Parse a JSON file; bytes that are not UTF-8 JSON raise ``error(message)``."""
     try:
         return json.loads(path.read_bytes().decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise error(f"{path}: not a UTF-8 JSON file: {exc}") from None
 
 

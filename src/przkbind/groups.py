@@ -7,9 +7,9 @@ curve for production-strength runs. Elements are plain values -- an int
 residue for the toy group, an affine ``(x, y)`` tuple or ``None`` (the
 point at infinity) for the curve -- and all structure lives in the group
 objects. A base that stays in use, such as a twin's public key, is
-declared with ``group.long_lived`` so that P-256 can give it a
-precomputed comb table; the generator has a larger comb of its own (two
-geometries, one table construction and one exp loop: see ``P256Group``).
+declared with ``group.long_lived`` so that P-256 can give it a signed
+comb table; the generator has a larger comb of its own (two geometries,
+one table construction and one exp loop: see ``P256Group``).
 ``exp`` is the one way to exponentiate on every path.
 
 Canonical encodings (these bytes are the hash inputs and the wire format):
@@ -215,14 +215,17 @@ def _to_affine(pts, p=_P):
     return out
 
 
-def _subset_sums(strides, p=_P):
-    """Entry m - 1 is the sum over set bits i of m of strides[i], filled one
-    stride at a time with affine additions and one inversion per level. An
-    entry is a smaller multiple of the base than the stride it meets, never
-    equal to it or its negation, so every sum is a plain chord addition."""
-    table = []
-    for sx, sy in strides:
-        level = [(sx, sy)]
+def _subset_sums(start, twos, p=_P):
+    """Entry m is start plus twos[i] for each set bit i of m, filled one level
+    at a time with affine additions and one inversion per level. In units of
+    the table's first stride (at most 2^16 times the base), an entry is G_top
+    plus a signed sum of the lower G_j = 2^(j * cols): above every 2 G_j it
+    meets and below 2^((teeth - 1) * cols + 1), so it plus or minus 2 G_j is
+    a nonzero multiple of the base below 2^242 < q. No entry meets the 2 G_j
+    or its negation, and every sum is a plain chord addition."""
+    table = [start]
+    for sx, sy in twos:
+        level = []
         for (x, y), inv in zip(table, _batch_inverse([sx - x for x, _ in table])):
             lam = (sy - y) * inv % p
             x3 = (lam * lam - x - sx) % p
@@ -232,18 +235,23 @@ def _subset_sums(strides, p=_P):
 
 
 def _comb_tables(base, geometry):
-    """A declared base's comb: one doubling chain of teeth * tables strides,
-    cols // tables doublings apart; table k holds the subset sums of strides
-    k, k + tables, ..., listed highest table first."""
+    """A declared base's signed comb, off one doubling chain: its teeth *
+    tables strides lie cols // tables doublings apart, each one's double just
+    past it. Table k, over strides k, k + tables, ..., holds every signed sum
+    of its teeth whose top tooth is +1: G_top minus the lower G_j, plus 2 G_j
+    for each j of a subset. Tables are listed highest first."""
     teeth, cols, tables = geometry
-    pt = (base[0], base[1], 1)
-    chain = [pt]
-    for _ in range(teeth * tables - 1):
-        for _ in range(cols // tables):
-            pt = _jac_double(pt)
-        chain.append(pt)
-    strides = _to_affine(chain)
-    return [_subset_sums(strides[k::tables]) for k in reversed(range(tables))]
+    step, n, top = cols // tables, teeth * tables, (teeth - 1) * tables
+    chain = [(base[0], base[1], 1)]
+    for _ in range((n - 1) * step):
+        chain.append(_jac_double(chain[-1]))
+    points = _to_affine(chain[::step] + chain[1::step])
+    strides, twos = points[:n], points[n:]
+    starts = [(*stride, 1) for stride in strides[top:]]
+    for i, (x, y) in enumerate(strides[:top]):  # G_top minus each lower stride
+        starts[i % tables] = _jac_add_affine(starts[i % tables], (x, _P - y))
+    starts = _to_affine(starts)
+    return [_subset_sums(starts[k], twos[k:top:tables]) for k in reversed(range(tables))]
 
 
 @cache
@@ -257,18 +265,24 @@ def _comb_schedule(geometry):
 
 
 def _comb_mult(base, e):
-    # column c's digit is bits c, c + cols, ..., read MSB-first off one string
+    # odd e = sum of (2 bit_i(h) - 1) 2^i with h = (e + 2^n - 1) / 2; an even e
+    # runs as q - e, negated. Column c's digit is bits c, c + cols, ... of h,
+    # MSB-first off one string; a clear top bit reads the complement, negated.
     teeth, cols, _ = base.geometry
-    bits = format(e, f"0{teeth * cols}b")
+    odd, n, mask = e & 1, teeth * cols, (1 << (teeth - 1)) - 1
+    bits = format(((e if odd else _N - e) + (1 << n) - 1) >> 1, f"0{n}b")
     comb = base.comb
     acc = _INFINITY
     for offset, k, doubles in _comb_schedule(base.geometry):
         if doubles:
             acc = _jac_double(acc)
         digit = int(bits[offset::cols], 2)
-        if digit:
-            acc = _jac_add_affine(acc, comb[k][digit - 1])
-    return acc
+        if digit > mask:
+            acc = _jac_add_affine(acc, comb[k][digit & mask])
+        else:
+            x, y = comb[k][~digit & mask]
+            acc = _jac_add_affine(acc, (x, _P - y))
+    return acc if odd else (acc[0], _P - acc[1], acc[2])
 
 
 def _wnaf_mult(base, e):
@@ -299,8 +313,8 @@ def _wnaf_mult(base, e):
 
 class _LongLived(tuple):
     """A declared affine point: equal to, and hashing as, the plain point,
-    and owning the comb for its own exps from the first one on. Its
-    geometry is (teeth, cols, tables), with teeth * cols >= 256 bits."""
+    and owning the signed comb (one 32-point table) for its exps from the
+    first one on. Its geometry is (teeth, cols, tables), teeth * cols >= 256."""
 
     geometry = (6, 43, 1)
 
@@ -310,7 +324,7 @@ class _LongLived(tuple):
 
 
 class _Generator(_LongLived):
-    """The generator, whose comb is larger: it is built once per process."""
+    """The generator, whose comb (two 128-point tables) is built once per process."""
 
     geometry = (8, 32, 2)
 
@@ -319,11 +333,13 @@ class P256Group(_ScalarCodec):
     """NIST P-256: prime-order elliptic-curve group at the 128-bit level.
 
     ``exp`` picks its path by what the base was declared to be, never by
-    how often it was seen. The generator carries a two-table Lim-Lee comb
-    (8 teeth x 32 columns, 510 affine points, ~100 KiB): 16 doublings and
-    at most 32 additions per exp. Keys declared through ``long_lived`` carry
-    a one-table comb each (6 x 43, 63 points, ~12 KiB, freed with the key):
-    43 doublings and at most 43 additions. Each comb is built on its base's
+    how often it was seen. Its combs are signed: every tooth is +1 or -1,
+    so a table keeps only the sums whose top tooth is +1 and a column
+    reads the others as negations. The generator carries a two-table comb
+    (8 teeth x 32 columns, 256 affine points): 16 doublings and exactly 32
+    additions per exp. Keys declared through ``long_lived`` carry a
+    one-table comb each (6 x 43, 32 points, freed with the key): 43
+    doublings and exactly 43 additions. Each comb is built on its base's
     first exp; one construction and one exp loop serve both geometries, and
     declared bases skip the curve check they passed when declared. Every
     other base (points decoded from the wire, fresh protocol values) goes

@@ -331,7 +331,7 @@ class _Session:
         self.failure: Optional[Reason] = None
         self.ops = OpCounts()
         self.session_key: Optional[SessionKey] = None
-        self._nonce: Optional[int] = None  # D's r from commit to respond; P's r_p never outlives its step
+        self._nonce: Optional[int] = None  # D's r from commit to respond; P's r_p is a step's local
 
     def _require_phase(self, expected: Phase) -> None:
         if self.phase is not expected:
@@ -355,9 +355,6 @@ class _Session:
         """A step's check failed: fail the session and raise for ``receive`` to answer."""
         self._fail(reason)
         raise VerificationFailure(reason, detail)
-
-    def ephemeral_debug(self) -> str:
-        return "erased" if self._nonce is None else "held"
 
     def receive(self, msg: Message) -> List[Message]:
         """Feed one message; returns this party's replies.

@@ -166,6 +166,6 @@ def load_registry(group: Group, path: Union[str, Path]) -> Registry:
                 line = raw.decode("utf-8")
                 if line.strip():
                     registry.add(_record_from_json(group, line))
-            except (ValueError, GroupError) as exc:
+            except (ValueError, GroupError, RecursionError) as exc:
                 raise RegistryIOError(f"record {index}: {exc}") from exc
     return registry

@@ -185,7 +185,9 @@ class TestAuthenticate:
         assert code == 3
         assert "record 0" in err
 
-    @pytest.mark.parametrize("line", ["[1, 2]", "non-string zeta", "invalid UTF-8"])
+    @pytest.mark.parametrize(
+        "line", ["[1, 2]", "non-string zeta", "invalid UTF-8", pytest.param(b"[" * 100_000, id="deep")]
+    )
     def test_malformed_registry_line_is_integrity_failure(self, run, keyfiles, line):
         path = keyfiles / "registry.ndjson"
         if line == "non-string zeta":
@@ -193,7 +195,9 @@ class TestAuthenticate:
             obj["zeta"] = 5
             line = json.dumps(obj)
         if line == "invalid UTF-8":
-            path.write_bytes(b"\xff\xfe\n")
+            line = b"\xff\xfe"
+        if isinstance(line, bytes):
+            path.write_bytes(line + b"\n")
         else:
             path.write_text(line + "\n")
         code, _, err = run(
@@ -243,6 +247,7 @@ _AUTHENTICATE = ("authenticate", "--entity-key", "keys/entity.key.json", "--twin
         (_REGISTER, "entity.pub.json", {"pk_p": "00000000"}, "pk_p"),
         (_REGISTER, "twin.pub.json", {"pk_d": "00"}, "pk_d"),
         (_REGISTER, "twin.pub.json", b"{not json", None),
+        pytest.param(_AUTHENTICATE, "twin.key.json", b"[" * 100_000, None, id="deep"),
     ],
 )
 def test_malformed_key_file_is_integrity_failure(run, keyfiles, command, name, edit, field):
@@ -361,6 +366,7 @@ class TestSimulate:
             (b"[1]", ()),
             (b"{not json", ("--sessions", "5")),
             (b"\xff\xfe", ("--sessions", "5")),
+            pytest.param(b"[" * 100_000, ("--sessions", "5"), id="deep"),
         ],
     )
     def test_unreadable_or_non_object_config_is_config_error(self, run, tmp_path, content, flags):
@@ -474,6 +480,7 @@ class TestReport:
             ({"aggregates": 5}, ("aggregates",)),
             (b"{not json", ("camp.json",)),
             (b"\xff\xfe", ("camp.json",)),
+            pytest.param(b"[" * 100_000, ("camp.json",), id="deep"),
             ({"config": "x"}, ("config",)),
             ({"config": {"sessions": "x"}}, ("sessions",)),
             (_Recomputed(kind="bogus"), ("session 0", "kind", "bogus")),

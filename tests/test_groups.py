@@ -262,10 +262,10 @@ class TestP256:
 
     def test_honest_session_work_count(self, monkeypatch):
         """Jacobian doublings and mixed additions of one honest session once
-        set-up has built both combs: 4 generator exps (16 doublings and at
-        most 32 additions each), 2 exps on the twin's key (43 and at most 43)
-        and one fresh-base wNAF exp (about 256 and 50). One comb geometry for
-        every declared base took 512 and 304."""
+        set-up has built both signed combs: 4 generator exps (16 doublings
+        and exactly 32 additions each), 2 exps on the twin's key (43 and
+        exactly 43) and one fresh-base wNAF exp (about 254 and 50): about 404
+        and 267. One comb geometry for every declared base took 512 and 304."""
         config = CampaignConfig(sessions=1, group_id="p256", rng_seed=5)
         env = build_env(config)
         counts = Counter()

@@ -3,8 +3,10 @@
 The generator path is checked as a full point against OpenSSL's public
 key derivation; declared long-lived keys and plain points are checked by
 the x coordinate against OpenSSL's ECDH, which returns only x. The powers
-of two check every table slot of both comb geometries: 2^k sets exactly
-one bit, so it reads exactly one (tooth, column, table) entry. Point
+of two, and 1, 2, q - 1 and q - 2, give the signed combs long runs of equal
+digits and both parities. Scalars built from the combs' own recoding read
+every entry of every table of both geometries with both signs, and the
+test asserts that coverage from the entries the exp loop adds. Point
 addition shares its formulas with exp, so mul is checked against OpenSSL's
 public keys too: aG + bG, aG + aG and aG + (-aG). Point decoding must
 accept exactly the 33-byte encodings that OpenSSL accepts, at the same
@@ -16,6 +18,7 @@ import random
 
 import pytest
 
+from przkbind import groups
 from przkbind.groups import GroupError
 
 ec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
@@ -27,7 +30,7 @@ B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
 
 def _scalars():
     rng = random.Random(11)
-    edge = [1, 2, Q - 1, Q + 1, 1 << 255]
+    edge = [1, 2, Q - 1, Q - 2, Q + 1, 1 << 255]
     # long zero runs in the middle, at the top and at the bottom of the scalar
     zero_runs = [(1 << 255) | 1, (1 << 200) | (1 << 3), 0xFFFF << 240, ((1 << 64) - 1) << 100]
     return edge + zero_runs + [rng.randrange(1, Q) for _ in range(12)]
@@ -82,6 +85,47 @@ def test_every_power_of_two_matches_openssl(p256):
     for k in range(256):
         assert p256.exp(p256.g, 1 << k) == _public(1 << k), k
         assert p256.exp(declared, 1 << k)[0] == _ecdh_x(1 << k, declared), k
+
+
+def _comb_scalars(teeth, cols):
+    """Odd scalars e, with their even partners q - e, whose signed-comb digits
+    take every value in every column but the top four. With
+    h = (e + 2^n - 1) / 2, column c's digit is bits c, c + cols, ... of h, and
+    scalar s gives it the digit (s + c) mod 2^teeth. Clearing h's three bits
+    below the top one and setting that keeps e below 2^(n - 3) < q."""
+    n = teeth * cols
+    for s in range(1 << teeth):
+        h = 0
+        for c in range(cols):
+            digit = (s + c) % (1 << teeth)
+            for j in range(teeth):
+                h |= (digit >> j & 1) << (c + j * cols)
+        e = 2 * (h & ((1 << (n - 4)) - 1) | 1 << (n - 1)) + 1 - (1 << n)
+        yield from (e, Q - e)
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["generator", "declared key"])
+def test_every_signed_table_entry_is_read_with_both_signs(p256, monkeypatch, declared):
+    base = p256.long_lived(_public(0x5EED)) if declared else p256.g
+    assert [len(table) for table in base.comb] == ([32] if declared else [128, 128])
+    slots = {}  # every table entry and its negation -> (table, entry, sign)
+    for k, table in enumerate(base.comb):
+        for i, (x, y) in enumerate(table):
+            slots[(x, y)], slots[(x, P - y)] = (k, i, 1), (k, i, -1)
+    assert len(slots) == 2 * sum(len(table) for table in base.comb)
+    read = set()
+
+    def add(pt, q, _add=groups._jac_add_affine):
+        read.add(slots.get(q))
+        return _add(pt, q)
+
+    monkeypatch.setattr(groups, "_jac_add_affine", add)
+    for e in _comb_scalars(*base.geometry[:2]):
+        if declared:
+            assert p256.exp(base, e)[0] == _ecdh_x(e, base), e
+        else:
+            assert p256.exp(base, e) == _public(e), e
+    assert read == set(slots.values())
 
 
 def test_multiples_of_the_order_give_the_identity(p256):

@@ -162,6 +162,8 @@ class TestPersistence:
             json.dumps({"pk_p": "0000000d", "pk_d": "00000008", "t": T0, "zeta": ZETA_13_8_T0}),
             # bytes that are not UTF-8
             b"\xff\xfe",
+            # nesting too deep to parse
+            pytest.param(b"[" * 100_000, id="deep"),
         ],
     )
     def test_malformed_line_names_its_index(self, toy, tmp_path, line):
