@@ -80,7 +80,6 @@ def derive_entity_keys(identity: PhysicalIdentity, group: Group) -> EntityKeys:
 
 
 def twin_keygen(group: Group, rng) -> TwinKeyPair:
-    """Generate the twin's key pair from a seeded rng; sk_d is never zero.
-    pk_d is declared long-lived: every session exps it twice."""
+    """Generate the twin's key pair from a seeded rng; sk_d is never zero."""
     sk_d = scalar_random_nonzero(group, rng)
-    return TwinKeyPair(sk_d, group.long_lived(group.exp(group.g, sk_d)))
+    return TwinKeyPair(sk_d, group.exp(group.g, sk_d))

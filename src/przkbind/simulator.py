@@ -276,7 +276,8 @@ class CampaignReport:
             leaves = list(chain.from_iterable(map(_row_values, self.sessions)))
             values = json.dumps(leaves, separators=("\n", ":"))[1:-1].split("\n")
             rows_text = ",\n    ".join([_ROW_TEMPLATE] * len(self.sessions)) % tuple(values)
-            text = text.replace(json.dumps(_SLOT), rows_text, 1)
+            head, tail = text.split(json.dumps(_SLOT), 1)
+            return "".join([head, rows_text, tail, "\n"])
         return text + "\n"
 
     def to_csv(self) -> str:

@@ -6,6 +6,7 @@ import stat
 
 import pytest
 
+from przkbind import groups
 from przkbind.cli import main
 from przkbind.protocol import OpCounts
 from przkbind.simulator import KIND_ORDER, CampaignConfig, SessionMetrics, compute_aggregates
@@ -311,6 +312,16 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["aggregates"]["far"] is None
         assert report["aggregates"]["honest_accept_rate"] == 1.0
+
+    def test_missing_libcrypto_is_a_one_line_error(self, run, monkeypatch):
+        # P-256 arithmetic loads libcrypto on first use; toy runs never do
+        monkeypatch.setattr(groups, "_CURVE", None)
+        monkeypatch.setattr(groups, "_LIBCRYPTO", ("libcrypto-missing.so",))
+        code, out, err = run("simulate", "--sessions", "5", "--group", "p256", "--seed", "1")
+        assert code == 2
+        assert err.count("\n") == 1 and "libcrypto" in err and "Traceback" not in err
+        assert run("simulate", "--sessions", "5", "--group", "toy", "--seed", "1")[0] == 0
+        assert groups._CURVE is None
 
     def test_invalid_config_names_field(self, run):
         code, _, err = run("simulate", "--sessions", "10", "--adv-ratio", "1.5", "--group", "toy")
