@@ -7,8 +7,8 @@ curve for production-strength runs. Elements are plain values -- an int
 residue for the toy group, an affine ``(x, y)`` tuple or ``None`` (the
 point at infinity) for the curve -- and all structure lives in the group
 objects. P-256 scalar multiplication and point addition are calls into
-OpenSSL's libcrypto (see ``P256Group``); ``exp`` is the one way to
-exponentiate on every path.
+OpenSSL's libcrypto, which also makes the curve check of their operands
+(see ``P256Group``); ``exp`` is the one way to exponentiate on every path.
 
 Canonical encodings (these bytes are the hash inputs and the wire format):
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from typing import Iterable, Tuple, Union
 
 Element = Union[int, Tuple[int, int], None]
@@ -154,12 +155,13 @@ _LIBCRYPTO = ("libcrypto.so.3", "libcrypto.so.1.1")
 _NID_P256 = 415  # NID_X9_62_prime256v1
 _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED: 0x04 || x || y, 65 bytes
 
-# (libcrypto, its P-256 EC_GROUP, ctypes.create_string_buffer), made by the
-# first P-256 operation and only read after that (threads that race to make it
-# each make an equal one, and one is kept). Every other OpenSSL object lives
-# for one call: ctypes releases the GIL during foreign calls, so shared
-# scratch objects would race.
+# (libcrypto, its P-256 EC_GROUP), made by the first P-256 operation and only
+# read after that (threads that race to make it each make an equal one, and
+# one is kept). The EC_GROUP is the one OpenSSL object that threads share:
+# ctypes releases the GIL during foreign calls, so every working object is
+# the calling thread's own _Scratch.
 _CURVE = None
+_THREAD = threading.local()  # .scratch: this thread's _Scratch
 
 
 def _ok(result):
@@ -180,7 +182,9 @@ def _curve():
         "EC_GROUP_new_by_curve_name": (ptr, [int_]),
         "BN_CTX_new": (ptr, []),
         "BN_CTX_free": (None, [ptr]),
+        "BN_new": (ptr, []),
         "BN_bin2bn": (ptr, [buf, int_, ptr]),
+        "BN_clear": (None, [ptr]),
         "BN_clear_free": (None, [ptr]),
         "EC_POINT_new": (ptr, [ptr]),
         "EC_POINT_free": (None, [ptr]),
@@ -188,6 +192,7 @@ def _curve():
         "EC_POINT_point2oct": (size, [ptr, ptr, int_, buf, size, ptr]),
         "EC_POINT_mul": (int_, [ptr, ptr, ptr, ptr, ptr, ptr]),
         "EC_POINT_add": (int_, [ptr, ptr, ptr, ptr, ptr]),
+        "ERR_clear_error": (None, []),
     }
     for name in _LIBCRYPTO:
         try:
@@ -197,43 +202,81 @@ def _curve():
         for fn, (restype, argtypes) in signatures.items():
             func = getattr(lib, fn)
             func.restype, func.argtypes = restype, argtypes
-        _CURVE = lib, _ok(lib.EC_GROUP_new_by_curve_name(_NID_P256)), ctypes.create_string_buffer
+        _CURVE = lib, _ok(lib.EC_GROUP_new_by_curve_name(_NID_P256))
         return _CURVE
     raise GroupError(f"P-256 needs OpenSSL's libcrypto, but none of {', '.join(_LIBCRYPTO)} loads")
+
+
+class _Scratch:
+    """One thread's OpenSSL working objects: a BN_CTX, the scalar BIGNUM, two
+    input points, the result point and the 65-byte output buffer. The
+    thread's first P-256 operation makes them and every later one reuses
+    them; they are freed when the thread ends and ``_THREAD`` drops them.
+    An operation must not start another on the same thread (from a signal
+    handler, say) while it holds them."""
+
+    def __init__(self, lib, group):
+        import ctypes
+
+        # bound now: __del__ can run at interpreter exit, after module globals are gone
+        self._free = lib.BN_CTX_free, lib.BN_clear_free, lib.EC_POINT_free
+        self.ctx, self.scalar = lib.BN_CTX_new(), lib.BN_new()
+        self.points = tuple(lib.EC_POINT_new(group) for _ in range(3))  # two inputs, the result
+        self.out = ctypes.create_string_buffer(65)
+        if not (self.ctx and self.scalar and all(self.points)):
+            raise GroupError("libcrypto could not allocate P-256 working objects")
+
+    def __del__(self):  # each free is a no-op on NULL
+        free_ctx, free_scalar, free_point = self._free
+        for point in self.points:
+            free_point(point)
+        free_scalar(self.scalar)
+        free_ctx(self.ctx)
+
+
+def _is_pair(x) -> bool:
+    """Whether x has the shape of an affine point: a tuple of two ints."""
+    return isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], int) and isinstance(x[1], int)
 
 
 def _openssl(k, *points):
     """One libcrypto operation on affine points: k * G with no point, k * P
     with one, and P1 + P2 for k None. Returns the affine result, None at
-    infinity."""
-    lib, group, new_buffer = _curve()
-    ctx = scalar = result = None
-    inputs = []
+    infinity. Each point must pass ``_is_pair``; ``EC_POINT_oct2point`` checks
+    the rest, and a point that it refuses raises GroupError."""
+    lib, group = _curve()
     try:
-        ctx = _ok(lib.BN_CTX_new())
-        for x, y in points:
-            inputs.append(_ok(lib.EC_POINT_new(group)))
+        scratch = _THREAD.scratch
+    except AttributeError:
+        scratch = _THREAD.scratch = _Scratch(lib, group)
+    ctx, out = scratch.ctx, scratch.out
+    first, second, result = scratch.points
+    for point, slot in zip(points, (first, second)):
+        x, y = point
+        try:
             encoded = b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
-            _ok(lib.EC_POINT_oct2point(group, inputs[-1], encoded, 65, ctx))
-        result = _ok(lib.EC_POINT_new(group))
-        if k is None:
-            _ok(lib.EC_POINT_add(group, result, *inputs, ctx))
-        else:
-            scalar = _ok(lib.BN_bin2bn(k.to_bytes(32, "big"), 32, None))
-            if inputs:
-                _ok(lib.EC_POINT_mul(group, result, None, inputs[0], scalar, ctx))
+            ok = lib.EC_POINT_oct2point(group, slot, encoded, 65, ctx)
+        except OverflowError:  # a negative coordinate, or one of 2^256 or more
+            ok = 0
+        if not ok:  # oct2point refuses a coordinate of p or more and a point off the curve
+            lib.ERR_clear_error()
+            raise GroupError(f"not a curve point: {point!r}")
+    if k is None:
+        _ok(lib.EC_POINT_add(group, result, first, second, ctx))
+    else:
+        scalar = scratch.scalar
+        try:
+            _ok(lib.BN_bin2bn(k.to_bytes(32, "big"), 32, scalar))
+            if points:
+                _ok(lib.EC_POINT_mul(group, result, None, first, scalar, ctx))
             else:  # OpenSSL's own generator table
                 _ok(lib.EC_POINT_mul(group, result, scalar, None, None, ctx))
-        out = new_buffer(65)
-        if _ok(lib.EC_POINT_point2oct(group, result, _UNCOMPRESSED, out, 65, ctx)) == 1:
-            return None  # the one-byte encoding of infinity
-        raw = out.raw
-        return int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big")
-    finally:
-        lib.BN_clear_free(scalar)  # the scalar may be a secret key
-        for point in (result, *inputs):
-            lib.EC_POINT_free(point)
-        lib.BN_CTX_free(ctx)
+        finally:
+            lib.BN_clear(scalar)  # the scalar may be a secret key
+    if _ok(lib.EC_POINT_point2oct(group, result, _UNCOMPRESSED, out, 65, ctx)) == 1:
+        return None  # the one-byte encoding of infinity
+    raw = out.raw
+    return int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big")
 
 
 class P256Group(_ScalarCodec):
@@ -242,8 +285,12 @@ class P256Group(_ScalarCodec):
     ``exp`` and ``mul`` are one libcrypto call each: ``EC_POINT_mul`` with
     OpenSSL's built-in generator table for ``g``, ``EC_POINT_mul`` on the
     point for every other base, and ``EC_POINT_add``. Points cross as
-    65-byte uncompressed encodings. The curve check, ``encode`` and
-    ``decode`` stay in Python, and the group object holds no per-base state.
+    65-byte uncompressed encodings, and ``EC_POINT_oct2point`` makes the one
+    range and curve check of an operand that has a point's shape (a tuple of
+    two ints), so ``exp`` and ``mul`` reject exactly what ``is_member``
+    rejects. The OpenSSL working objects are per thread (``_Scratch``).
+    ``is_member``, ``encode`` and ``decode`` are Python, and the group object
+    holds no per-base state.
     """
 
     group_id = "p256"
@@ -258,29 +305,28 @@ class P256Group(_ScalarCodec):
     def is_member(self, x: Element) -> bool:
         if x is None:
             return True
-        if not (isinstance(x, tuple) and len(x) == 2):
+        if not _is_pair(x):
             return False
         px, py = x
-        if not (isinstance(px, int) and isinstance(py, int)):
-            return False
         if not (0 <= px < _P and 0 <= py < _P):
             return False
         return (py * py - (px * px * px + _A * px + _B)) % _P == 0
 
     def exp(self, base: Element, e: int) -> Element:
-        if not self.is_member(base):
-            raise GroupError(f"not a curve point: {base!r}")
         e %= self.q
-        if base is None or e == 0:
+        if e and _is_pair(base):
+            return _openssl(e) if base == self.g else _openssl(e, base)
+        if self.is_member(base):  # the identity, or any point to the power 0
             return None
-        return _openssl(e) if base == self.g else _openssl(e, base)
+        raise GroupError(f"not a curve point: {base!r}")
 
     def mul(self, a: Element, b: Element) -> Element:
-        if not self.is_member(a) or not self.is_member(b):
-            raise GroupError("operands must be curve points")
-        if a is None or b is None:
-            return b if a is None else a
-        return _openssl(None, a, b)  # a doubling when a == b, infinity when a == -b
+        if _is_pair(a) and _is_pair(b):
+            return _openssl(None, a, b)  # a doubling when a == b, infinity when a == -b
+        for x in (a, b):
+            if not self.is_member(x):
+                raise GroupError(f"not a curve point: {x!r}")
+        return b if a is None else a
 
     def encode(self, x: Element) -> bytes:
         if not self.is_member(x):
