@@ -155,13 +155,13 @@ _LIBCRYPTO = ("libcrypto.so.3", "libcrypto.so.1.1")
 _NID_P256 = 415  # NID_X9_62_prime256v1
 _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED: 0x04 || x || y, 65 bytes
 
-# (libcrypto, its P-256 EC_GROUP), made by the first P-256 operation and only
-# read after that (threads that race to make it each make an equal one, and
-# one is kept). The EC_GROUP is the one OpenSSL object that threads share:
-# ctypes releases the GIL during foreign calls, so every working object is
-# the calling thread's own _Scratch.
+# (libcrypto, its P-256 EC_GROUP, the working objects of every operation),
+# made by the first P-256 operation under _LOCK and never freed. ctypes
+# releases the GIL during foreign calls, so an operation holds _LOCK for as
+# long as it uses the working objects: one BN_CTX, the scalar BIGNUM, two
+# input points, the result point and the 65-byte output buffer.
 _CURVE = None
-_THREAD = threading.local()  # .scratch: this thread's _Scratch
+_LOCK = threading.Lock()
 
 
 def _ok(result):
@@ -181,13 +181,10 @@ def _curve():
     signatures = {  # name -> (restype, argtypes)
         "EC_GROUP_new_by_curve_name": (ptr, [int_]),
         "BN_CTX_new": (ptr, []),
-        "BN_CTX_free": (None, [ptr]),
         "BN_new": (ptr, []),
         "BN_bin2bn": (ptr, [buf, int_, ptr]),
         "BN_clear": (None, [ptr]),
-        "BN_clear_free": (None, [ptr]),
         "EC_POINT_new": (ptr, [ptr]),
-        "EC_POINT_free": (None, [ptr]),
         "EC_POINT_oct2point": (int_, [ptr, ptr, buf, size, ptr]),
         "EC_POINT_point2oct": (size, [ptr, ptr, int_, buf, size, ptr]),
         "EC_POINT_mul": (int_, [ptr, ptr, ptr, ptr, ptr, ptr]),
@@ -202,36 +199,12 @@ def _curve():
         for fn, (restype, argtypes) in signatures.items():
             func = getattr(lib, fn)
             func.restype, func.argtypes = restype, argtypes
-        _CURVE = lib, _ok(lib.EC_GROUP_new_by_curve_name(_NID_P256))
+        group = _ok(lib.EC_GROUP_new_by_curve_name(_NID_P256))
+        points = (_ok(lib.EC_POINT_new(group)) for _ in range(3))
+        scratch = _ok(lib.BN_CTX_new()), _ok(lib.BN_new()), *points, ctypes.create_string_buffer(65)
+        _CURVE = lib, group, scratch
         return _CURVE
     raise GroupError(f"P-256 needs OpenSSL's libcrypto, but none of {', '.join(_LIBCRYPTO)} loads")
-
-
-class _Scratch:
-    """One thread's OpenSSL working objects: a BN_CTX, the scalar BIGNUM, two
-    input points, the result point and the 65-byte output buffer. The
-    thread's first P-256 operation makes them and every later one reuses
-    them; they are freed when the thread ends and ``_THREAD`` drops them.
-    An operation must not start another on the same thread (from a signal
-    handler, say) while it holds them."""
-
-    def __init__(self, lib, group):
-        import ctypes
-
-        # bound now: __del__ can run at interpreter exit, after module globals are gone
-        self._free = lib.BN_CTX_free, lib.BN_clear_free, lib.EC_POINT_free
-        self.ctx, self.scalar = lib.BN_CTX_new(), lib.BN_new()
-        self.points = tuple(lib.EC_POINT_new(group) for _ in range(3))  # two inputs, the result
-        self.out = ctypes.create_string_buffer(65)
-        if not (self.ctx and self.scalar and all(self.points)):
-            raise GroupError("libcrypto could not allocate P-256 working objects")
-
-    def __del__(self):  # each free is a no-op on NULL
-        free_ctx, free_scalar, free_point = self._free
-        for point in self.points:
-            free_point(point)
-        free_scalar(self.scalar)
-        free_ctx(self.ctx)
 
 
 def _is_pair(x) -> bool:
@@ -244,38 +217,34 @@ def _openssl(k, *points):
     with one, and P1 + P2 for k None. Returns the affine result, None at
     infinity. Each point must pass ``_is_pair``; ``EC_POINT_oct2point`` checks
     the rest, and a point that it refuses raises GroupError."""
-    lib, group = _curve()
-    try:
-        scratch = _THREAD.scratch
-    except AttributeError:
-        scratch = _THREAD.scratch = _Scratch(lib, group)
-    ctx, out = scratch.ctx, scratch.out
-    first, second, result = scratch.points
-    for point, slot in zip(points, (first, second)):
-        x, y = point
-        try:
-            encoded = b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
-            ok = lib.EC_POINT_oct2point(group, slot, encoded, 65, ctx)
-        except OverflowError:  # a negative coordinate, or one of 2^256 or more
-            ok = 0
-        if not ok:  # oct2point refuses a coordinate of p or more and a point off the curve
-            lib.ERR_clear_error()
-            raise GroupError(f"not a curve point: {point!r}")
-    if k is None:
-        _ok(lib.EC_POINT_add(group, result, first, second, ctx))
-    else:
-        scalar = scratch.scalar
-        try:
-            _ok(lib.BN_bin2bn(k.to_bytes(32, "big"), 32, scalar))
-            if points:
-                _ok(lib.EC_POINT_mul(group, result, None, first, scalar, ctx))
-            else:  # OpenSSL's own generator table
-                _ok(lib.EC_POINT_mul(group, result, scalar, None, None, ctx))
-        finally:
-            lib.BN_clear(scalar)  # the scalar may be a secret key
-    if _ok(lib.EC_POINT_point2oct(group, result, _UNCOMPRESSED, out, 65, ctx)) == 1:
-        return None  # the one-byte encoding of infinity
-    raw = out.raw
+    with _LOCK:
+        lib, group, (ctx, scalar, first, second, result, out) = _curve()
+        for point, slot in zip(points, (first, second)):
+            x, y = point
+            try:
+                encoded = b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
+                ok = lib.EC_POINT_oct2point(group, slot, encoded, 65, ctx)
+            except OverflowError:  # a negative coordinate, or one of 2^256 or more
+                ok = 0
+            if not ok:  # oct2point refuses a coordinate of p or more and a point off the curve
+                lib.ERR_clear_error()
+                raise GroupError(f"not a curve point: {point!r}")
+        if k is None:
+            _ok(lib.EC_POINT_add(group, result, first, second, ctx))
+        else:
+            # The scalar may be a secret key. EC_POINT_mul gets no BN_CTX, so it
+            # makes its own and wipes every temporary when it frees it.
+            try:
+                _ok(lib.BN_bin2bn(k.to_bytes(32, "big"), 32, scalar))
+                if points:
+                    _ok(lib.EC_POINT_mul(group, result, None, first, scalar, None))
+                else:  # OpenSSL's own generator table
+                    _ok(lib.EC_POINT_mul(group, result, scalar, None, None, None))
+            finally:
+                lib.BN_clear(scalar)
+        if _ok(lib.EC_POINT_point2oct(group, result, _UNCOMPRESSED, out, 65, ctx)) == 1:
+            return None  # the one-byte encoding of infinity
+        raw = out.raw
     return int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big")
 
 
@@ -288,9 +257,9 @@ class P256Group(_ScalarCodec):
     65-byte uncompressed encodings, and ``EC_POINT_oct2point`` makes the one
     range and curve check of an operand that has a point's shape (a tuple of
     two ints), so ``exp`` and ``mul`` reject exactly what ``is_member``
-    rejects. The OpenSSL working objects are per thread (``_Scratch``).
-    ``is_member``, ``encode`` and ``decode`` are Python, and the group object
-    holds no per-base state.
+    rejects. Every operation reuses one set of OpenSSL working objects under
+    a lock. ``is_member``, ``encode`` and ``decode`` are Python, and the
+    group object holds no per-base state.
     """
 
     group_id = "p256"

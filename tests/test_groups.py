@@ -198,56 +198,6 @@ def _naive_mult(base, k):
     return acc
 
 
-def _count_libcrypto(monkeypatch):
-    """Route the P-256 group's libcrypto calls through a proxy that counts
-    multiplies by path, additions and allocations, and return the counts."""
-    lib, ec_group = groups._curve()
-    counts = Counter()
-
-    class Counted:
-        def __getattr__(self, name):
-            func = getattr(lib, name)
-            if name not in ("BN_CTX_new", "BN_new", "EC_POINT_new"):
-                return func
-
-            def allocate(*args):
-                counts[name] += 1
-                return func(*args)
-            return allocate
-
-        def BN_bin2bn(self, data, size, ret):
-            if not ret:  # a NULL ret makes a new BIGNUM
-                counts["BN_new"] += 1
-            return lib.BN_bin2bn(data, size, ret)
-
-        def EC_POINT_mul(self, group, r, n, q, m, ctx):
-            counts["generator mul" if n else "point mul"] += 1
-            return lib.EC_POINT_mul(group, r, n, q, m, ctx)
-
-        def EC_POINT_add(self, *args):
-            counts["add"] += 1
-            return lib.EC_POINT_add(*args)
-
-    monkeypatch.setattr(groups, "_curve", lambda: (Counted(), ec_group))
-    return counts
-
-
-_PEAK_KIB = """
-def peak_kib():  # VmHWM is this address space's own peak; ru_maxrss starts at the parent's
-    with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-"""
-
-
-def _python(script, *options):
-    """Run a script, which may call ``peak_kib()``, in a fresh interpreter
-    that imports this checkout's przkbind."""
-    src = str(Path(groups.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *options, "-c", _PEAK_KIB + script], env=env,
-                          capture_output=True, text=True, timeout=300, check=True)
-
-
 class TestP256:
     P = P256_P
 
@@ -322,36 +272,43 @@ class TestP256:
         with pytest.raises(GroupError):
             p256.decode(cand)
 
-    def test_honest_session_work_count(self, p256, monkeypatch):
+    def test_honest_session_work_count(self, monkeypatch):
         """One honest session makes 7 libcrypto multiplies (4 of them on
         OpenSSL's generator table) and 2 additions: one per group.exp and
-        group.mul, with no curve arithmetic anywhere else. After the thread's
-        first P-256 operation it allocates no OpenSSL object at all."""
+        group.mul, with no curve arithmetic anywhere else. It allocates no
+        OpenSSL object: every operation reuses the working objects that
+        ``_curve`` made once."""
         config = CampaignConfig(sessions=1, group_id="p256", rng_seed=5)
         env = build_env(config)
-        p256.exp(p256.g, 1)  # this thread's first operation, if build_env made none
-        counts = _count_libcrypto(monkeypatch)
+        lib, *curve = groups._curve()
+        counts = Counter()
+
+        class Counted:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def EC_POINT_mul(self, group, r, n, q, m, ctx):
+                counts["generator mul" if n else "point mul"] += 1
+                return lib.EC_POINT_mul(group, r, n, q, m, ctx)
+
+            def EC_POINT_add(self, *args):
+                counts["add"] += 1
+                return lib.EC_POINT_add(*args)
+
+            def BN_bin2bn(self, data, size, ret):
+                if not ret:  # a NULL ret makes a new BIGNUM
+                    counts["BN_new"] += 1
+                return lib.BN_bin2bn(data, size, ret)
+
+        for name in ("BN_CTX_new", "BN_new", "EC_POINT_new"):
+            def allocate(*args, name=name):
+                counts[name] += 1
+                return getattr(lib, name)(*args)
+            setattr(Counted, name, staticmethod(allocate))
+
+        monkeypatch.setattr(groups, "_curve", lambda: (Counted(), *curve))
         assert run_session(config, HONEST, _spawn_rng(5, "session/0"), env).accepted
         assert counts == {"generator mul": 4, "point mul": 3, "add": 2}
-
-    def test_each_thread_allocates_once(self, p256, monkeypatch):
-        """A thread's first operation makes its BN_CTX, scalar and three
-        points; its later ones make nothing."""
-        counts = _count_libcrypto(monkeypatch)
-        per_op = []
-
-        def run():
-            for _ in range(3):
-                before = Counter(counts)
-                p256.mul(p256.exp(p256.g, 5), p256.g)
-                per_op.append(counts - before)
-
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        work = {"generator mul": 1, "add": 1}
-        assert per_op == [{"BN_CTX_new": 1, "BN_new": 1, "EC_POINT_new": 3, **work}, work, work]
 
     def test_wire_points_leave_no_per_base_state(self, p256):
         rng = random.Random(5)
@@ -370,8 +327,8 @@ class TestP256:
         muls 20 times over; every result equals the serial one. ctypes
         releases the GIL inside libcrypto, so an OpenSSL object shared between
         threads, such as one result point or one BN_CTX, races here and makes
-        this test fail or crash in most runs. Each thread's working objects
-        are its own."""
+        this test fail or crash in most runs, unless the operation holds the
+        lock that guards it."""
         rng = random.Random(7)
         bases = [p256.g] + [p256.exp(p256.g, rng.randrange(1, p256.q)) for _ in range(3)]
         work = [(bases[i % 4], bases[(i + 1) % 4], rng.randrange(1, p256.q)) for i in range(100)]
@@ -395,15 +352,19 @@ class TestP256:
             assert rounds == [expected[shift:] + expected[:shift]] * 20
 
     def test_repeated_operations_do_not_grow_memory(self):
-        """A thread reuses its OpenSSL working objects: 20 000 exps and
-        20 000 muls after a warm-up of 1 000 leave the peak RSS where it was.
-        Leaking one scalar BIGNUM per exp grows it by ~780 KiB when przkbind
-        loads from .pyc files (compiling it from source frees enough heap to
-        hide that), and leaking a point or a BN_CTX per operation by tens of
-        MiB."""
+        """Every operation reuses the same OpenSSL working objects: 20 000
+        exps and 20 000 muls after a warm-up of 1 000 leave the peak RSS where
+        it was. VmHWM is this address space's own peak (ru_maxrss would start
+        at pytest's). Leaking one scalar BIGNUM per exp grows it by ~780 KiB
+        when przkbind loads from .pyc files (compiling it from source frees
+        enough heap to hide that), and leaking a point or a BN_CTX per
+        operation by tens of MiB."""
         script = """
 import random
 from przkbind.groups import get_group
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 p256 = get_group("p256")
 rng = random.Random(8)
 base = p256.exp(p256.g, rng.randrange(1, p256.q))
@@ -415,36 +376,11 @@ before = peak_kib()
 work(20_000)
 print(peak_kib() - before)
 """
-        proc = _python(script)
+        src = str(Path(groups.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300, check=True)
         assert int(proc.stdout) < 256  # KiB
-
-    def test_thread_scratch_is_freed_when_the_thread_ends(self):
-        """400 short-lived threads, one alive at a time, each do one exp and
-        one mul after a warm-up of 50: the peak RSS stays where it was, and
-        interpreter exit under -X dev prints nothing. With the scratch's
-        finalizer a no-op, every run read +640 KiB."""
-        script = """
-import random, threading
-from przkbind.groups import get_group
-p256 = get_group("p256")
-rng = random.Random(9)
-base = p256.exp(p256.g, rng.randrange(1, p256.q))
-def one():
-    p256.mul(p256.exp(base, rng.randrange(1, p256.q)), base)
-def threads(n):
-    for _ in range(n):
-        thread = threading.Thread(target=one)
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-threads(50)
-before = peak_kib()
-threads(400)
-print(peak_kib() - before)
-"""
-        proc = _python(script, "-X", "dev")
-        assert proc.stderr == ""
-        assert int(proc.stdout) < 128  # KiB
 
     def test_scalar_codec(self, p256):
         s = 0xDEADBEEF
