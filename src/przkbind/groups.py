@@ -6,9 +6,10 @@ enumerable (used by exhaustive tests and oracles), and the NIST P-256
 curve for production-strength runs. Elements are plain values -- an int
 residue for the toy group, an affine ``(x, y)`` tuple or ``None`` (the
 point at infinity) for the curve -- and all structure lives in the group
-objects. P-256 scalar multiplication and point addition are calls into
-OpenSSL's libcrypto, which also makes the curve check of their operands
-(see ``P256Group``); ``exp`` is the one way to exponentiate on every path.
+objects. P-256 scalar multiplication, point addition and point decoding
+are calls into OpenSSL's libcrypto, which also makes the curve check of
+their operands (see ``P256Group``); ``exp`` is the one way to exponentiate
+on every path.
 
 Canonical encodings (these bytes are the hash inputs and the wire format):
 
@@ -150,7 +151,7 @@ _GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 _N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 # OpenSSL's libcrypto, which CPython's hashlib has already loaded, does the
-# P-256 scalar multiplications and additions. Tried in this order.
+# P-256 scalar multiplications, additions and decodes. Tried in this order.
 _LIBCRYPTO = ("libcrypto.so.3", "libcrypto.so.1.1")
 _NID_P256 = 415  # NID_X9_62_prime256v1
 _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED: 0x04 || x || y, 65 bytes
@@ -212,36 +213,44 @@ def _is_pair(x) -> bool:
     return isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], int) and isinstance(x[1], int)
 
 
-def _openssl(k, *points):
-    """One libcrypto operation on affine points: k * G with no point, k * P
-    with one, and P1 + P2 for k None. Returns the affine result, None at
-    infinity. Each point must pass ``_is_pair``; ``EC_POINT_oct2point`` checks
-    the rest, and a point that it refuses raises GroupError."""
+def _operand(point):
+    """An element as ``_openssl`` takes it: itself, for errors to name, and its
+    SEC 1 encoding, 00 for None (infinity) and 04 || x || y for a tuple of two
+    ints below 2^256. Anything else, bytes included, raises GroupError."""
+    if point is None:
+        return point, b"\x00"
+    try:
+        if _is_pair(point):
+            return point, b"\x04" + point[0].to_bytes(32, "big") + point[1].to_bytes(32, "big")
+    except OverflowError:  # a negative coordinate, or one of 2^256 or more
+        pass
+    raise GroupError(f"not a curve point: {point!r}")
+
+
+def _openssl(k, *operands):
+    """One libcrypto operation on ``_operand`` pairs: k * G with none, k * P
+    with one, P1 + P2 for k None, and a decode, the point itself, for k None
+    with one. Returns the affine result, None at infinity. An encoding that
+    ``EC_POINT_oct2point``, the one range and curve check, refuses raises GroupError."""
     with _LOCK:
         lib, group, (ctx, scalar, first, second, result, out) = _curve()
-        for point, slot in zip(points, (first, second)):
-            x, y = point
-            try:
-                encoded = b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big")
-                ok = lib.EC_POINT_oct2point(group, slot, encoded, 65, ctx)
-            except OverflowError:  # a negative coordinate, or one of 2^256 or more
-                ok = 0
-            if not ok:  # oct2point refuses a coordinate of p or more and a point off the curve
-                lib.ERR_clear_error()
-                raise GroupError(f"not a curve point: {point!r}")
-        if k is None:
-            _ok(lib.EC_POINT_add(group, result, first, second, ctx))
-        else:
+        for (shown, data), slot in zip(operands, (first, second)):
+            if not lib.EC_POINT_oct2point(group, slot, data, len(data), ctx):
+                lib.ERR_clear_error()  # a bad prefix, a coordinate of p or more, a point off the curve
+                raise GroupError(f"not a curve point: {shown}")
+        if k is not None:
             # The scalar may be a secret key. EC_POINT_mul gets no BN_CTX, so it
             # makes its own and wipes every temporary when it frees it.
             try:
                 _ok(lib.BN_bin2bn(k.to_bytes(32, "big"), 32, scalar))
-                if points:
-                    _ok(lib.EC_POINT_mul(group, result, None, first, scalar, None))
-                else:  # OpenSSL's own generator table
-                    _ok(lib.EC_POINT_mul(group, result, scalar, None, None, None))
+                n, m = (None, scalar) if operands else (scalar, None)  # n: OpenSSL's own generator table
+                _ok(lib.EC_POINT_mul(group, result, n, first, m, None))
             finally:
                 lib.BN_clear(scalar)
+        elif len(operands) == 2:
+            _ok(lib.EC_POINT_add(group, result, first, second, ctx))
+        else:  # a decode
+            result = first
         if _ok(lib.EC_POINT_point2oct(group, result, _UNCOMPRESSED, out, 65, ctx)) == 1:
             return None  # the one-byte encoding of infinity
         raw = out.raw
@@ -251,15 +260,14 @@ def _openssl(k, *points):
 class P256Group(_ScalarCodec):
     """NIST P-256: prime-order elliptic-curve group at the 128-bit level.
 
-    ``exp`` and ``mul`` are one libcrypto call each: ``EC_POINT_mul`` with
-    OpenSSL's built-in generator table for ``g``, ``EC_POINT_mul`` on the
-    point for every other base, and ``EC_POINT_add``. Points cross as
-    65-byte uncompressed encodings, and ``EC_POINT_oct2point`` makes the one
-    range and curve check of an operand that has a point's shape (a tuple of
-    two ints), so ``exp`` and ``mul`` reject exactly what ``is_member``
-    rejects. Every operation reuses one set of OpenSSL working objects under
-    a lock. ``is_member``, ``encode`` and ``decode`` are Python, and the
-    group object holds no per-base state.
+    ``exp``, ``mul`` and ``decode`` are one libcrypto call each:
+    ``EC_POINT_mul`` with OpenSSL's generator table for ``g`` and on the point
+    for every other base, ``EC_POINT_add``, and ``EC_POINT_oct2point`` on the
+    compressed encoding. Operands cross as SEC 1 encodings (infinity as 00),
+    and oct2point is the one range and curve check of each, so ``exp`` and
+    ``mul`` reject exactly what ``is_member`` rejects. Every operation reuses
+    one set of OpenSSL working objects under a lock. ``is_member`` and
+    ``encode`` are Python; the group object holds no per-base state.
     """
 
     group_id = "p256"
@@ -282,20 +290,12 @@ class P256Group(_ScalarCodec):
         return (py * py - (px * px * px + _A * px + _B)) % _P == 0
 
     def exp(self, base: Element, e: int) -> Element:
-        e %= self.q
-        if e and _is_pair(base):
-            return _openssl(e) if base == self.g else _openssl(e, base)
-        if self.is_member(base):  # the identity, or any point to the power 0
-            return None
-        raise GroupError(f"not a curve point: {base!r}")
+        if _is_pair(base) and base == self.g:
+            return _openssl(e % self.q)
+        return _openssl(e % self.q, _operand(base))
 
     def mul(self, a: Element, b: Element) -> Element:
-        if _is_pair(a) and _is_pair(b):
-            return _openssl(None, a, b)  # a doubling when a == b, infinity when a == -b
-        for x in (a, b):
-            if not self.is_member(x):
-                raise GroupError(f"not a curve point: {x!r}")
-        return b if a is None else a
+        return _openssl(None, _operand(a), _operand(b))  # a doubling when a == b, infinity when a == -b
 
     def encode(self, x: Element) -> bytes:
         if not self.is_member(x):
@@ -311,19 +311,7 @@ class P256Group(_ScalarCodec):
             raise GroupError(f"curve point encoding must be {self.element_size} bytes")
         if data == self._IDENTITY_ENC:
             return None
-        prefix = data[0]
-        if prefix not in (0x02, 0x03):
-            raise GroupError(f"bad point prefix: {prefix:#x}")
-        px = int.from_bytes(data[1:], "big")
-        if px >= _P:
-            raise GroupError("x coordinate out of field range")
-        rhs = (px * px * px + _A * px + _B) % _P
-        py = pow(rhs, (_P + 1) // 4, _P)  # p = 3 mod 4
-        if py * py % _P != rhs:
-            raise GroupError("x coordinate is not on the curve")
-        if (py & 1) != (prefix & 1):
-            py = _P - py
-        return (px, py)
+        return _openssl(None, (data.hex(), bytes(data)))  # ctypes takes bytes, not a bytearray
 
 
 _GROUPS = {group.group_id: group for group in (ToyGroup(), P256Group())}

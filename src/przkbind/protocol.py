@@ -165,30 +165,36 @@ OP_NAMES = tuple(f.name for f in fields(OpCounts))
 # 1-byte tag | 4-byte big-endian payload length | field encodings in order.
 
 # WIRE, the format's one definition: message class -> (tag, its fields' kinds),
-# a kind mapping a group to the field's (encoder, decoder, size). The verdict,
-# an accept flag and a reason byte (0 for none), is the one message outside it.
+# a kind mapping a group to the field's (encoder, decoder, size).
 _ELEMENT = attrgetter("encode", "decode", "element_size")
 _SCALAR = attrgetter("encode_scalar", "decode_scalar", "scalar_size")
+
+
+def _byte_kind(values: tuple):
+    """The kind of a one-byte field whose byte is its value's index in ``values``."""
+    def decode(data: bytes):
+        if len(data) != 1 or data[0] >= len(values):
+            raise WireError(f"bad one-byte field: {data.hex()}")
+        return values[data[0]]
+    return lambda group: (lambda value: bytes([values.index(value)]), decode, 1)
+
 
 WIRE = {
     Commit: (0x01, (_ELEMENT,)),
     Challenge: (0x02, (_SCALAR,)),
     Response: (0x03, (_SCALAR,)),
     IdentityProof: (0x04, (_SCALAR, _ELEMENT)),
+    # the accept flag, then the reason: 0 for none, else Reason.value, which numbers the members 1, 2, ...
+    Verdict: (0x05, (_byte_kind((False, True)), _byte_kind((None, *Reason)))),
 }
-_VERDICT_TAG = 0x05
 _BY_TAG = {tag: (cls, kinds) for cls, (tag, kinds) in WIRE.items()}
 
 
 def encode_message(group: Group, msg: Message) -> bytes:
-    if type(msg) in WIRE:
-        tag, kinds = WIRE[type(msg)]
-        payload = b"".join([kind(group)[0](value) for kind, value in zip(kinds, vars(msg).values())])
-    elif isinstance(msg, Verdict):
-        tag = _VERDICT_TAG
-        payload = bytes([1 if msg.accept else 0, msg.reason.value if msg.reason else 0])
-    else:
+    if type(msg) not in WIRE:
         raise WireError(f"unknown message type: {type(msg).__name__}")
+    tag, kinds = WIRE[type(msg)]
+    payload = b"".join([kind(group)[0](value) for kind, value in zip(kinds, vars(msg).values())])
     return bytes([tag]) + struct.pack(">I", len(payload)) + payload
 
 
@@ -199,15 +205,6 @@ def decode_message(group: Group, data: bytes) -> Message:
     (length,) = struct.unpack(">I", data[1:5])
     if len(payload) != length:
         raise WireError("payload length mismatch")
-    if tag == _VERDICT_TAG:
-        if length != 2:
-            raise WireError(f"bad payload size: {length} != 2")
-        if payload[0] not in (0, 1):
-            raise WireError("bad verdict flag")
-        try:
-            return Verdict(payload[0] == 1, Reason(payload[1]) if payload[1] else None)
-        except ValueError:
-            raise WireError("bad verdict reason") from None
     if tag not in _BY_TAG:
         raise WireError(f"unknown message tag: {tag:#x}")
     cls, kinds = _BY_TAG[tag]

@@ -247,7 +247,7 @@ class TestP256:
         for pt in points:
             data = p256.encode(pt)
             assert len(data) == 33
-            assert p256.decode(data) == pt
+            assert p256.decode(data) == p256.decode(bytearray(data)) == pt
 
     def test_identity_has_reserved_encoding(self, p256):
         assert p256.encode(p256.identity) == b"\x00" * 33
@@ -275,9 +275,9 @@ class TestP256:
     def test_honest_session_work_count(self, monkeypatch):
         """One honest session makes 7 libcrypto multiplies (4 of them on
         OpenSSL's generator table) and 2 additions: one per group.exp and
-        group.mul, with no curve arithmetic anywhere else. It allocates no
-        OpenSSL object: every operation reuses the working objects that
-        ``_curve`` made once."""
+        group.mul, with no curve arithmetic anywhere else; a decode makes
+        neither. No operation allocates an OpenSSL object: each reuses the
+        working objects that ``_curve`` made once."""
         config = CampaignConfig(sessions=1, group_id="p256", rng_seed=5)
         env = build_env(config)
         lib, *curve = groups._curve()
@@ -308,6 +308,9 @@ class TestP256:
 
         monkeypatch.setattr(groups, "_curve", lambda: (Counted(), *curve))
         assert run_session(config, HONEST, _spawn_rng(5, "session/0"), env).accepted
+        p256 = get_group("p256")
+        for point in (p256.g, env.record.pk_d, env.record.pk_p):
+            assert p256.decode(p256.encode(point)) == point
         assert counts == {"generator mul": 4, "point mul": 3, "add": 2}
 
     def test_wire_points_leave_no_per_base_state(self, p256):
@@ -353,12 +356,12 @@ class TestP256:
 
     def test_repeated_operations_do_not_grow_memory(self):
         """Every operation reuses the same OpenSSL working objects: 20 000
-        exps and 20 000 muls after a warm-up of 1 000 leave the peak RSS where
-        it was. VmHWM is this address space's own peak (ru_maxrss would start
-        at pytest's). Leaking one scalar BIGNUM per exp grows it by ~780 KiB
-        when przkbind loads from .pyc files (compiling it from source frees
-        enough heap to hide that), and leaking a point or a BN_CTX per
-        operation by tens of MiB."""
+        exps, 20 000 muls and 20 000 decodes after a warm-up of 1 000 of each
+        leave the peak RSS where it was. VmHWM is this address space's own
+        peak (ru_maxrss would start at pytest's). Leaking one BIGNUM per exp,
+        or per decode, grows it by ~630 KiB when przkbind compiles from source
+        and by ~1560 KiB when it loads from .pyc files; leaking a point or a
+        BN_CTX per operation grows it by tens of MiB."""
         script = """
 import random
 from przkbind.groups import get_group
@@ -368,9 +371,10 @@ def peak_kib():
 p256 = get_group("p256")
 rng = random.Random(8)
 base = p256.exp(p256.g, rng.randrange(1, p256.q))
+wire = p256.encode(base)
 def work(n):
     for i in range(n):
-        p256.mul(p256.exp(p256.g if i % 2 else base, rng.randrange(1, p256.q)), base)
+        p256.mul(p256.exp(p256.g if i % 2 else base, rng.randrange(1, p256.q)), p256.decode(wire))
 work(1_000)
 before = peak_kib()
 work(20_000)
@@ -408,8 +412,11 @@ def _near_misses(point):
 
 _COORDINATES = st.one_of(st.integers(-(2**257), 2**257), st.integers(P256_P, 2**256 - 1),
                          st.integers(0, P256_P - 1), st.booleans(), st.floats())
+_ENCODINGS = [_P256.encode(point) for point in _POINTS] + [
+    b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big") for x, y in _POINTS] + [b"\x00", b""]
 _OPERANDS = st.one_of(
     st.none(),
+    st.sampled_from(_ENCODINGS),  # bytes are not elements, not even a point's own encoding
     st.sampled_from(_POINTS),
     st.sampled_from(_POINTS).flatmap(lambda point: st.sampled_from(_near_misses(point))),
     st.tuples(_COORDINATES, _COORDINATES),

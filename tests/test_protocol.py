@@ -25,7 +25,6 @@ from przkbind.protocol import (
     TwinSession,
     Verdict,
     VerificationFailure,
-    WIRE,
     WireError,
     _Session,
     decode_message,
@@ -106,10 +105,11 @@ class TestWireFormat:
         bad = bytes([0x01]) + struct.pack(">I", 4) + struct.pack(">I", 5)
         with pytest.raises(WireError):
             decode_message(toy, bad)
-        # verdict with a bad flag byte
-        bad = bytes([0x05]) + struct.pack(">I", 2) + b"\x07\x00"
-        with pytest.raises(WireError):
-            decode_message(toy, bad)
+        # verdict with a bad flag byte, a reason byte no Reason has, or a payload of the wrong size
+        for payload in (b"\x07\x00", b"\x00\x06", b"\x00\xff", b"\x00", b"\x00\x01\x00"):
+            bad = bytes([0x05]) + struct.pack(">I", len(payload)) + payload
+            with pytest.raises(WireError):
+                decode_message(toy, bad)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10), st.integers(0, 10), st.sampled_from(sorted(pow(2, k, 23) for k in range(11))))
@@ -622,7 +622,7 @@ def test_awaits_table_answers_each_phase_and_message(toy_env, party):
             continue
         seen.add(phase)
         awaited, step, malformed = table.get(phase, (None, None, Reason.OUT_OF_ORDER))
-        for cls in WIRE:
+        for cls in STEP_MESSAGES:
             session = start()
             if cls is awaited:
                 assert type(inbox[k]) is cls
