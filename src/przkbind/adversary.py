@@ -108,10 +108,10 @@ def attack_impersonate_twin(rng, entity: EntitySession) -> AttackOutcome:
     Without solving the discrete log, exactly one response per challenge
     verifies, so the success rate is 1/q.
     """
-    group = entity.group
-    alpha = group.exp(group.g, scalar_random_nonzero(group, rng))
+    group, ops = entity.group, OpCounts()
+    alpha = ops.exp(group, group.g, scalar_random_nonzero(group, rng))
     answer = partial(scalar_random, group, rng)
-    return _forge_proof(entity, alpha, answer, OpCounts(group_exp=1), "blind response verified")
+    return _forge_proof(entity, alpha, answer, ops, "blind response verified")
 
 
 def attack_kci(rng, twin: TwinSession) -> AttackOutcome:
@@ -122,13 +122,10 @@ def attack_kci(rng, twin: TwinSession) -> AttackOutcome:
     pk_p, so the adversary can only guess h_sp. An adversary that reuses
     an observed h_sp mounts a replay, not a key compromise.
     """
-    group = twin.group
-    ops = OpCounts()
+    group, ops = twin.group, OpCounts()
 
-    def identity_guess() -> IdentityProof:
-        h_sp_guess = scalar_random(group, rng)
-        ops.group_exp += 1
-        return IdentityProof(h_sp_guess, group.exp(group.g, scalar_random(group, rng)))
+    def identity_guess() -> IdentityProof:  # the h_sp guess is drawn before the ephemeral's nonce
+        return IdentityProof(scalar_random(group, rng), ops.exp(group, group.g, scalar_random(group, rng)))
 
     impostor = _Impostor(
         {"commit": lambda: Challenge(scalar_random(group, rng)), "response": identity_guess}

@@ -195,7 +195,7 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
         who, sender = ("D", d) if recipient is p else ("P", p)
         label = msg.label.replace("_", " ")
         click.echo(f"{who}: -> {label:<17} phase={sender.phase.value}")
-        transcript.note(msg, 0.0)
+        transcript.note(msg)
         return recipient.receive(msg)
 
     pump(p, d, hop)

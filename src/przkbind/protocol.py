@@ -147,11 +147,23 @@ class SessionKey:
 
 @dataclass
 class OpCounts:
-    """Per-party operation tally used by the overhead/energy metrics."""
+    """Per-party operation tally used by the overhead/energy metrics.
+
+    Every group operation a party or an attack makes goes through ``exp``
+    or ``mul``, which count it and call the group they are given.
+    """
 
     group_exp: int = 0
     group_mul: int = 0
     hash: int = 0
+
+    def exp(self, group: Group, base: Element, e: int) -> Element:
+        self.group_exp += 1
+        return group.exp(base, e)
+
+    def mul(self, group: Group, a: Element, b: Element) -> Element:
+        self.group_mul += 1
+        return group.mul(a, b)
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in OP_NAMES}
@@ -237,23 +249,16 @@ def schnorr_verify(
     z: int,
     ops: Optional[OpCounts] = None,
 ) -> bool:
-    """The verification equation g^z == alpha * pk_d^c."""
-    lhs = group.exp(group.g, z)
-    rhs = group.mul(alpha, group.exp(pk_d, c))
-    if ops is not None:
-        ops.group_exp += 2
-        ops.group_mul += 1
-    return lhs == rhs
+    """The verification equation g^z == alpha * pk_d^c, tallied in ``ops``."""
+    ops = ops or OpCounts()
+    return ops.exp(group, group.g, z) == ops.mul(group, alpha, ops.exp(group, pk_d, c))
 
 
 def identity_check(group: Group, pk_p: Element, h_sp: int, ops: Optional[OpCounts] = None) -> bool:
-    """The identity equation g^h_sp == pk_p; the zero scalar is rejected."""
+    """The identity equation g^h_sp == pk_p, tallied in ``ops``; the zero scalar is rejected."""
     if h_sp % group.q == 0:
         return False
-    result = group.exp(group.g, h_sp) == pk_p
-    if ops is not None:
-        ops.group_exp += 1
-    return result
+    return (ops or OpCounts()).exp(group, group.g, h_sp) == pk_p
 
 
 # -- transcripts -----------------------------------------------------------
@@ -275,12 +280,12 @@ class Transcript:
     verdict: Optional[Verdict] = None
     timestamps: List[Tuple[str, float]] = field(default_factory=list)
 
-    def note(self, msg: Message, at_ms: float) -> None:
+    def note(self, msg: Message) -> None:
         if msg.label == "verdict":
             self.verdict = msg
         else:  # every other message's fields are transcript fields of the same name
             vars(self).update(vars(msg))
-        self.timestamps.append((msg.label, at_ms))
+        self.timestamps.append((msg.label, 0.0))
 
     def to_dict(self, group: Group) -> dict:
         def enc(x):
@@ -321,6 +326,8 @@ class _Session:
     def __init__(self, group: Group, binding: BindingRecord, rng):
         if not verify_record(group, binding):
             raise BindingMismatch("binding record fails zeta recomputation")
+        if group.identity in (binding.pk_p, binding.pk_d):
+            raise BindingMismatch("a public key in the binding record is the identity element")
         self.group = group
         self.binding = binding
         self.rng = rng
@@ -403,10 +410,7 @@ class EntitySession(_Session):
         super().__init__(group, binding, rng)
         if binding.pk_p != keys.pk_p:
             raise BindingMismatch("binding record is for a different physical key")
-        if binding.pk_d == group.identity:
-            raise BindingMismatch("twin public key must not be the identity element")
         self.keys = keys
-        self.schnorr_verified = False
         self._alpha: Optional[Element] = None
         self._c: Optional[int] = None
 
@@ -430,11 +434,9 @@ class EntitySession(_Session):
         self._require_phase(Phase.CHALLENGED)
         if not schnorr_verify(self.group, self.binding.pk_d, self._alpha, self._c, resp.z, self.ops):
             self._reject(Reason.BAD_PROOF, "response fails the verification equation")
-        self.schnorr_verified = True
         r_p = scalar_random_nonzero(self.group, self.rng)
-        r_p_pub = self.group.exp(self.group.g, r_p)
-        self.ops.group_exp += 2
-        self._establish(self.group.exp(self.binding.pk_d, (self.keys.h_sp + r_p) % self.group.q))
+        r_p_pub = self.ops.exp(self.group, self.group.g, r_p)
+        self._establish(self.ops.exp(self.group, self.binding.pk_d, (self.keys.h_sp + r_p) % self.group.q))
         return IdentityProof(self.keys.h_sp, r_p_pub)
 
 
@@ -451,10 +453,7 @@ class TwinSession(_Session):
         super().__init__(group, binding, rng)
         if binding.pk_d != twin.pk_d:
             raise BindingMismatch("binding record is for a different twin key")
-        if binding.pk_p == group.identity:
-            raise BindingMismatch("entity public key must not be the identity element")
         self.twin = twin
-        self.identity_verified = False
 
     def commit(self) -> Commit:
         """Open the session with a fresh commitment alpha = g^r.
@@ -464,8 +463,7 @@ class TwinSession(_Session):
         """
         self._require_phase(Phase.IDLE)
         self._nonce = scalar_random_nonzero(self.group, self.rng)
-        alpha = self.group.exp(self.group.g, self._nonce)
-        self.ops.group_exp += 1
+        alpha = self.ops.exp(self.group, self.group.g, self._nonce)
         self.phase = Phase.COMMITMENT_SENT
         return Commit(alpha)
 
@@ -486,10 +484,8 @@ class TwinSession(_Session):
         self._require_phase(Phase.RESPONSE_SENT)
         if not (self.group.is_member(proof.r_p_pub) and identity_check(self.group, self.binding.pk_p, proof.h_sp, self.ops)):
             self._reject(Reason.BAD_IDENTITY, "identity proof rejected")
-        self.identity_verified = True
-        self.ops.group_mul += 1
-        self.ops.group_exp += 1
-        self._establish(self.group.exp(self.group.mul(self.binding.pk_p, proof.r_p_pub), self.twin.sk_d))
+        shared = self.ops.exp(self.group, self.ops.mul(self.group, self.binding.pk_p, proof.r_p_pub), self.twin.sk_d)
+        self._establish(shared)
         return Verdict(True)
 
 
@@ -523,7 +519,7 @@ def run_interactive_session(entity: EntitySession, twin: TwinSession) -> Transcr
     transcript = Transcript()
 
     def hop(recipient: _Session, msg: Message) -> List[Message]:
-        transcript.note(msg, 0.0)
+        transcript.note(msg)
         return recipient.receive(msg)
 
     pump(entity, twin, hop)

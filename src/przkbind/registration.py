@@ -81,20 +81,15 @@ class Registry:
                 raise RegistrationError(f"{name} is not a group member")
             if pk == self.group.identity:
                 raise RegistrationError(f"{name} must not be the identity element")
-        key = (self.group.encode(pk_p), self.group.encode(pk_d))
-        if key in self._records:
-            raise RegistrationError("already bound")
         rec = BindingRecord(pk_p, pk_d, t, compute_zeta(self.group, pk_p, pk_d, t))
-        self._records[key] = rec
+        self.add(rec)
         return rec
 
     def get(self, pk_p: Element, pk_d: Element) -> Optional[BindingRecord]:
         return self._records.get((self.group.encode(pk_p), self.group.encode(pk_d)))
 
     def add(self, rec: BindingRecord) -> None:
-        """Insert an already-minted record (used by load); validates it."""
-        if not verify_record(self.group, rec):
-            raise RegistryIOError("zeta does not match its fields")
+        """Insert a record whose zeta the caller has checked; a pair already bound is refused."""
         key = (self.group.encode(rec.pk_p), self.group.encode(rec.pk_d))
         if key in self._records:
             raise RegistrationError("already bound")
@@ -165,7 +160,10 @@ def load_registry(group: Group, path: Union[str, Path]) -> Registry:
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    registry.add(_record_from_json(group, line))
+                    rec = _record_from_json(group, line)
+                    if not verify_record(group, rec):
+                        raise RegistryIOError("zeta does not match its fields")
+                    registry.add(rec)
             except (ValueError, GroupError, RecursionError) as exc:
                 raise RegistryIOError(f"record {index}: {exc}") from exc
     return registry

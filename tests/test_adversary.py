@@ -132,7 +132,7 @@ class TestKci:
         d.commit()
         d.receive(Challenge(4))
         d.verify_identity(IdentityProof(7, 4))
-        assert d.identity_verified
+        assert d.phase is Phase.KEY_ESTABLISHED
 
     def test_production_kci_never_accepted(self, p256_env):
         for s in range(60):

@@ -211,7 +211,7 @@ class TestTwinSession:
         d.commit()
         d.respond(Challenge(4))
         assert d.verify_identity(IdentityProof(7, 4)) == Verdict(True)
-        assert d.phase is Phase.KEY_ESTABLISHED and d.identity_verified
+        assert d.phase is Phase.KEY_ESTABLISHED
 
         d2 = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d2.commit()
@@ -275,7 +275,7 @@ class TestEntitySession:
         with pytest.raises(VerificationFailure):
             p.verify_response(Response(bad))
         assert p.phase is Phase.FAILED and p.failure is Reason.BAD_PROOF
-        assert not p.schnorr_verified
+        assert not schnorr_verify(toy_env["group"], toy_env["record"].pk_d, p._alpha, p._c, bad)
 
     def test_identity_proof_with_forced_ephemeral(self, toy_env):
         p = make_entity(toy_env, ScriptedRng(randranges=[2]))
@@ -283,7 +283,7 @@ class TestEntitySession:
         # impersonate the twin honestly: we know r=5, sk_d=3 in the fixture
         z = schnorr_response(toy_env["group"], 5, ch.c, 3)
         assert p.verify_response(Response(z)) == IdentityProof(7, 4)  # r_p = 2 -> 2^2 = 4
-        assert p.schnorr_verified
+        assert schnorr_verify(toy_env["group"], toy_env["record"].pk_d, p._alpha, p._c, z)
         assert p.phase is Phase.KEY_ESTABLISHED
 
     def test_binding_record_must_match_entity_key(self, toy_env):
@@ -302,6 +302,23 @@ class TestEntitySession:
             EntitySession(toy_env["group"], toy_env["keys"], forged, random.Random(0))
         with pytest.raises(BindingMismatch):
             TwinSession(toy_env["group"], toy_env["twin"], forged, random.Random(0))
+
+    @pytest.mark.parametrize("env_name", ["toy_env", "p256_env"])
+    @pytest.mark.parametrize("field", ["pk_p", "pk_d"])
+    def test_identity_element_key_in_binding_refused(self, env_name, field, request):
+        # a record with a correct zeta over an identity-element key is refused
+        # by both parties, each holding keys that match the record
+        from przkbind.registration import BindingRecord, compute_zeta, verify_record
+
+        env = request.getfixturevalue(env_name)
+        group, rec = env["group"], env["record"]
+        pks = {"pk_p": rec.pk_p, "pk_d": rec.pk_d, field: group.identity}
+        record = BindingRecord(**pks, t=rec.t, zeta=compute_zeta(group, pks["pk_p"], pks["pk_d"], rec.t))
+        assert verify_record(group, record)
+        with pytest.raises(BindingMismatch, match="identity element"):
+            EntitySession(group, EntityKeys(env["keys"].h_sp, record.pk_p), record, random.Random(0))
+        with pytest.raises(BindingMismatch, match="identity element"):
+            TwinSession(group, TwinKeyPair(env["twin"].sk_d, record.pk_d), record, random.Random(0))
 
 
 class TestKeyDerivation:
@@ -387,7 +404,6 @@ class TestEndToEnd:
         assert p.phase is Phase.KEY_ESTABLISHED
         assert d.phase is Phase.KEY_ESTABLISHED
         assert p.session_key.k_pd == d.session_key.k_pd
-        assert p.schnorr_verified and d.identity_verified
         assert transcript.verdict == Verdict(True)
         assert transcript.alpha is not None and transcript.r_p_pub is not None
         assert transcript.h_sp == env["keys"].h_sp
@@ -571,9 +587,21 @@ def test_every_check_rejects_through_one_path(toy_env, monkeypatch, case):
         assert session.session_key is None and session._nonce is None
 
 
-# Each party, in pump's seat order -> how many messages an honest session
-# sends it, and the check that must have passed before it holds a key.
-PARTIES = {"entity": (3, "schnorr_verified"), "twin": (2, "identity_verified")}
+# Each party, in pump's seat order -> how many messages an honest session sends it.
+PARTIES = {"entity": 3, "twin": 2}
+
+
+def _passes_own_check(session, fed):
+    """Whether a message fed to ``session`` passes the check that party must pass
+    before it holds a key, by the pure relations: for the entity, a response whose
+    z verifies against its own commitment and challenge; for the twin, an identity
+    proof whose R_p is a member and whose h_sp passes the identity equation."""
+    group, binding = session.group, session.binding
+    if isinstance(session, EntitySession):
+        return any(type(m) is Response and schnorr_verify(group, binding.pk_d, session._alpha, session._c, m.z)
+                   for m in fed)
+    return any(type(m) is IdentityProof and group.is_member(m.r_p_pub)
+               and identity_check(group, binding.pk_p, m.h_sp) for m in fed)
 
 
 def _seeded_parties(env):
@@ -591,14 +619,15 @@ def _honest_inbox(env, party):
 
 
 def _party_after(env, party, k):
-    """A fresh entity or twin fed the first k messages an honest session sent it:
-    each party's rng is seeded, so it replays the honest run up to there."""
-    session = _seeded_parties(env)[party]
+    """A fresh entity or twin fed the first k messages an honest session sent it,
+    and those messages: each party's rng is seeded, so it replays the honest run
+    up to there."""
+    session, fed = _seeded_parties(env)[party], _honest_inbox(env, party)[:k]
     if party == "twin":
         session.commit()
-    for msg in _honest_inbox(env, party)[:k]:
+    for msg in fed:
         session.receive(msg)
-    return session
+    return session, fed
 
 
 # A value of each message class a step can await (the verdict is heeded in every phase).
@@ -612,7 +641,7 @@ def test_awaits_table_answers_each_phase_and_message(toy_env, party):
     # one reply, every other class is out of order, and bytes that do not decode
     # get the entry's reason
     table, inbox = _seeded_parties(toy_env)[party].AWAITS, _honest_inbox(toy_env, party)
-    starts = {k: partial(_party_after, toy_env, party, k) for k in range(len(inbox))}
+    starts = {k: lambda k=k: _party_after(toy_env, party, k)[0] for k in range(len(inbox))}
     if party == "twin":
         starts[None] = partial(make_twin, toy_env)
     seen = set()
@@ -666,15 +695,19 @@ def _wire_bytes(group):
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_arbitrary_bytes_never_key_an_unverified_party(env_name, party, request, data):
-    # after an honest prefix to any phase, no bytes give a party a key its own
-    # check did not pass, and every rejection leaves it failed and erased
+    # after an honest prefix to any phase, no bytes give a party a key without a
+    # message fed to it passing that party's check, and every rejection leaves it
+    # failed and erased
     env = request.getfixturevalue(env_name)
-    inbox_size, verified = PARTIES[party]
-    session = _party_after(env, party, data.draw(st.integers(0, inbox_size), label="prefix"))
+    session, fed = _party_after(env, party, data.draw(st.integers(0, PARTIES[party]), label="prefix"))
     for raw in data.draw(st.lists(_wire_bytes(env["group"]), min_size=1, max_size=4), label="wire"):
+        try:
+            fed.append(decode_message(env["group"], raw))
+        except WireError:
+            pass
         replies = session.receive_bytes(raw)
         if session.session_key is not None:
-            assert getattr(session, verified) and session.phase is Phase.KEY_ESTABLISHED
+            assert _passes_own_check(session, fed) and session.phase is Phase.KEY_ESTABLISHED
         if session.phase is Phase.FAILED:
             assert isinstance(session.failure, Reason)
             assert session.session_key is None and session._nonce is None
@@ -716,43 +749,50 @@ def _fuzz_symbols(env):
 
 def _fuzz_machines(env, max_depth):
     """Exhaustively drive each machine with message sequences; any path that
-    reaches key establishment must have passed that party's verification."""
+    reaches key establishment must have fed that party a message passing its check."""
     toy = env["group"]
     p_symbols, d_symbols = _fuzz_symbols(env)
     outcomes = {"p_established": 0, "d_established": 0}
 
-    def check_entity(p):
+    def feed(session, history):
+        """Feed the history's messages; None if a step was called out of phase."""
+        fed = []
+        for symbol in history:
+            fed.append(symbol(session))
+            try:
+                session.receive(fed[-1])
+            except SessionError:
+                return None
+        return fed
+
+    def check_entity(p, fed):
         if p.phase is Phase.KEY_ESTABLISHED:
-            assert p.schnorr_verified, "entity established a key without a valid proof"
+            assert _passes_own_check(p, fed), "entity established a key without a valid proof"
             outcomes["p_established"] += 1
 
     def walk_entity(history):
         p = EntitySession(toy, env["keys"], env["record"], ScriptedRng(randranges=[2], seed=7))
-        for symbol in history:
-            try:
-                p.receive(symbol(p))
-            except SessionError:
-                return
-        check_entity(p)
+        fed = feed(p, history)
+        if fed is None:
+            return
+        check_entity(p, fed)
         if p.phase.terminal or len(history) >= max_depth:
             return
         for symbol in p_symbols:
             walk_entity(history + [symbol])
 
-    def check_twin(d):
+    def check_twin(d, fed):
         if d.phase is Phase.KEY_ESTABLISHED:
-            assert d.identity_verified, "twin established a key without identity verification"
+            assert _passes_own_check(d, fed), "twin established a key without identity verification"
             outcomes["d_established"] += 1
 
     def walk_twin(history):
         d = TwinSession(toy, env["twin"], env["record"], ScriptedRng(randranges=[5], seed=8))
         d.commit()
-        for symbol in history:
-            try:
-                d.receive(symbol(d))
-            except SessionError:
-                return
-        check_twin(d)
+        fed = feed(d, history)
+        if fed is None:
+            return
+        check_twin(d, fed)
         if d.phase.terminal or len(history) >= max_depth:
             return
         for symbol in d_symbols:
@@ -783,7 +823,7 @@ class TestTranscriptSecrecy:
         emitted = bytearray()
 
         def send(msg):
-            transcript.note(msg, 0.0)
+            transcript.note(msg)
             emitted.extend(encode_message(group, msg))
             return msg
 

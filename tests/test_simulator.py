@@ -134,7 +134,7 @@ class TestSessions:
 
     @pytest.mark.parametrize("group_id, per_kind", [("toy", 40), ("p256", 3)])
     def test_logical_op_counts_equal_group_calls(self, monkeypatch, group_id, per_kind):
-        # the hand-written tallies must match the work the group layer did
+        # the OpCounts tallies must match the work the group layer did
         cfg = CampaignConfig(sessions=1, group_id=group_id, rng_seed=9)
         env = build_env(cfg)
         calls = dict.fromkeys(OP_NAMES, 0)
