@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage/config error, 2 runtime error,
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
 from functools import partial
@@ -19,7 +18,6 @@ import click
 
 from .groups import GroupError, get_group
 from .identity import (
-    IdentitySource,
     PhysicalIdentity,
     TwinKeyPair,
     derive_entity_keys,
@@ -40,8 +38,10 @@ from .registration import (
     Registry,
     RegistryIOError,
     load_registry,
+    read_fields,
     save_registry,
     write_atomic,
+    write_fields,
 )
 from .simulator import (
     KIND_ORDER,
@@ -56,9 +56,6 @@ from .simulator import (
     unreadable_row,
 )
 
-CONFIG_ENV_VAR = "PRZKBIND_CONFIG"
-
-
 class IntegrityFailure(Exception):
     """A verification step or stored-aggregate cross-check failed."""
 
@@ -71,31 +68,15 @@ def _load_json(path: Path, error: Callable[[str], Exception]):
         raise error(f"{path}: not a UTF-8 JSON file: {exc}") from None
 
 
-# How each key-file field is read from its string value, given the file's group.
-_KEY_FIELDS = {
-    "group": lambda group, value: get_group(value),
-    "source": lambda group, value: IdentitySource(value),
-    "s_p": lambda group, value: bytes.fromhex(value),
-    "sk_d": lambda group, value: group.decode_scalar(bytes.fromhex(value)),
-    "pk_p": lambda group, value: group.decode(bytes.fromhex(value)),
-    "pk_d": lambda group, value: group.decode(bytes.fromhex(value)),
-}
-
-
 def _load_key_file(path: Path, *names: str) -> dict:
     """The group and the named fields of a key file, decoded; a missing or
-    mistyped field is an integrity failure naming file and field."""
+    malformed field is an integrity failure naming file and field."""
     obj = _load_json(path, IntegrityFailure)
-    out = {"group": None}
-    for name in ("group", *names):
-        value = obj.get(name) if isinstance(obj, dict) else None
-        try:
-            if not isinstance(value, str):
-                raise ValueError("missing or not a string")
-            out[name] = _KEY_FIELDS[name](out["group"], value)
-        except ValueError as exc:  # GroupError is a ValueError
-            raise IntegrityFailure(f"{path}: field {name!r}: {exc}") from None
-    return out
+    try:
+        group = read_fields(obj, ("group",), None)["group"]
+        return {"group": group, **read_fields(obj, names, group)}
+    except ValueError as exc:
+        raise IntegrityFailure(f"{path}: {exc}") from None
 
 
 @click.group()
@@ -116,15 +97,14 @@ def keygen(seed: str, group_id: str, out_dir: Path) -> None:
     twin = twin_keygen(group, _spawn_rng(seed, "twin-keygen"))
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    gid = group.group_id
-    files = {  # name -> (contents, secret)
-        "entity.pub.json": ({"group": gid, "pk_p": group.encode(keys.pk_p).hex()}, False),
-        "entity.key.json": ({"group": gid, "s_p": identity.s_p.hex(), "source": identity.source.value}, True),
-        "twin.pub.json": ({"group": gid, "pk_d": group.encode(twin.pk_d).hex()}, False),
-        "twin.key.json": ({"group": gid, "sk_d": group.encode_scalar(twin.sk_d).hex()}, True),
+    files = {  # name -> (fields, secret)
+        "entity.pub.json": ({"group": group, "pk_p": keys.pk_p}, False),
+        "entity.key.json": ({"group": group, "s_p": identity.s_p, "source": identity.source}, True),
+        "twin.pub.json": ({"group": group, "pk_d": twin.pk_d}, False),
+        "twin.key.json": ({"group": group, "sk_d": twin.sk_d}, True),
     }
-    for name, (obj, secret) in files.items():
-        write_atomic(out_dir / name, json.dumps(obj, indent=2) + "\n", secret)
+    for name, (values, secret) in files.items():
+        write_atomic(out_dir / name, json.dumps(write_fields(group, values), indent=2) + "\n", secret)
         click.echo(f"wrote {out_dir / name}" + (" (secret, permissions 0600)" if secret else ""))
 
 
@@ -241,7 +221,7 @@ def _parse_mix(value: str) -> dict:
 
 @cli.command()
 @click.option("--config", "config_path", type=click.Path(path_type=Path), default=None,
-              help=f"Campaign config JSON (default: ${CONFIG_ENV_VAR}).")
+              envvar="PRZKBIND_CONFIG", help="Campaign config JSON (default: $PRZKBIND_CONFIG).")
 @click.option("--sessions", type=int, default=None)
 @click.option("--adv-ratio", type=float, default=None)
 @click.option("--latency", default=None, help="Per-message delay in ms: 'low:high' or one value.")
@@ -252,10 +232,6 @@ def _parse_mix(value: str) -> dict:
 def simulate(config_path, sessions, adv_ratio, latency, seed, group_id, mix, out_prefix):
     """Run a session campaign and write JSON and CSV reports."""
     base: dict = {}
-    if config_path is None:
-        env_path = os.environ.get(CONFIG_ENV_VAR)
-        if env_path:
-            config_path = Path(env_path)
     if config_path is not None:
         base = _load_json(config_path, partial(ConfigError, "config"))
         if not isinstance(base, dict):

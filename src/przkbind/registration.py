@@ -1,13 +1,16 @@
-"""Credential-authority role: mint binding records and persist the registry.
+"""Credential-authority role: mint binding records, persist the registry,
+and own the stored form of every key-file and registry field.
 
 The authority participates at initialization only. It binds a physical
 public key, a twin public key, and a trusted timestamp into a digest
 ``zeta`` that both parties later use as their shared session context;
 live sessions never consult the registry again.
 
-Registry file format: one JSON object per line with keys ``pk_p``,
-``pk_d``, ``t``, ``zeta``; group elements and digests hex-encoded with
-the group's canonical encodings, ``t`` an unsigned 64-bit integer.
+``FIELDS`` is the one table through which key files (one JSON object
+each) and registry lines (one JSON object per line: ``pk_p``, ``pk_d``,
+``t``, ``zeta``) are read and written. Elements, scalars and byte strings
+are hex of the group's canonical encodings; ``t`` is a JSON integer in
+[0, 2^64), never a boolean.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
-from .groups import Element, Group, GroupError, hash_h2
+from .groups import Element, Group, GroupError, get_group, hash_h2
+from .identity import IdentitySource
 
 _MAX_T = 2**64 - 1
 
@@ -96,39 +100,43 @@ class Registry:
         self._records[key] = rec
 
 
-def _record_to_json(group: Group, rec: BindingRecord) -> str:
-    return json.dumps(
-        {
-            "pk_p": group.encode(rec.pk_p).hex(),
-            "pk_d": group.encode(rec.pk_d).hex(),
-            "t": rec.t,
-            "zeta": rec.zeta.hex(),
-        }
-    )
+# name -> (JSON type, read(group, value), write(group, value)): how each
+# key-file and registry field is stored.
+FIELDS = {
+    "group": (str, lambda group, value: get_group(value), lambda group, value: value.group_id),
+    "source": (str, lambda group, value: IdentitySource(value), lambda group, value: value.value),
+    "s_p": (str, lambda group, value: bytes.fromhex(value), lambda group, value: value.hex()),
+    "sk_d": (str, lambda group, value: group.decode_scalar(bytes.fromhex(value)),
+             lambda group, value: group.encode_scalar(value).hex()),
+    "pk_p": (str, lambda group, value: group.decode(bytes.fromhex(value)),
+             lambda group, value: group.encode(value).hex()),
+    "pk_d": (str, lambda group, value: group.decode(bytes.fromhex(value)),
+             lambda group, value: group.encode(value).hex()),
+    "t": (int, lambda group, value: struct.unpack(">Q", encode_timestamp(value))[0], lambda group, value: value),
+    "zeta": (str, lambda group, value: bytes.fromhex(value), lambda group, value: value.hex()),
+}
 
 
-def _record_from_json(group: Group, line: str) -> BindingRecord:
-    obj = json.loads(line)
-    if not isinstance(obj, dict):
-        raise ValueError("not a JSON object")
-    missing = {"pk_p", "pk_d", "t", "zeta"} - obj.keys()
-    if missing:
-        raise ValueError(f"missing keys: {sorted(missing)}")
-    t = obj["t"]
-    if not isinstance(t, int):
-        raise ValueError("t must be an integer")
+def read_fields(obj, names: Iterable[str], group: Optional[Group]) -> dict:
+    """The named fields of a parsed JSON object, decoded through ``FIELDS``.
+    A missing field, one of another JSON type or one that does not decode
+    raises ValueError naming it."""
+    out = {}
+    for name in names:
+        kind, read, _ = FIELDS[name]
+        value = obj.get(name) if isinstance(obj, dict) else None
+        if type(value) is not kind:  # a bool is not an int
+            raise ValueError(f"field {name!r}: missing or not of type {kind.__name__}")
+        try:
+            out[name] = read(group, value)
+        except ValueError as exc:  # GroupError and RegistrationError are ValueErrors
+            raise ValueError(f"field {name!r}: {exc}") from None
+    return out
 
-    def unhex(key: str) -> bytes:
-        if not isinstance(obj[key], str):
-            raise ValueError(f"{key} must be a hex string")
-        return bytes.fromhex(obj[key])
 
-    return BindingRecord(
-        pk_p=group.decode(unhex("pk_p")),
-        pk_d=group.decode(unhex("pk_d")),
-        t=t,
-        zeta=unhex("zeta"),
-    )
+def write_fields(group: Group, values: dict) -> dict:
+    """``values`` in their stored JSON form, through ``FIELDS``."""
+    return {name: FIELDS[name][2](group, value) for name, value in values.items()}
 
 
 def write_atomic(path: Union[str, Path], text: str, secret: bool = False) -> None:
@@ -148,7 +156,7 @@ def write_atomic(path: Union[str, Path], text: str, secret: bool = False) -> Non
 
 
 def save_registry(registry: Registry, path: Union[str, Path]) -> None:
-    lines = [_record_to_json(registry.group, rec) for rec in registry]
+    lines = [json.dumps(write_fields(registry.group, vars(rec))) for rec in registry]
     write_atomic(path, "".join(line + "\n" for line in lines))
 
 
@@ -160,7 +168,7 @@ def load_registry(group: Group, path: Union[str, Path]) -> Registry:
             try:
                 line = raw.decode("utf-8")
                 if line.strip():
-                    rec = _record_from_json(group, line)
+                    rec = BindingRecord(**read_fields(json.loads(line), ("pk_p", "pk_d", "t", "zeta"), group))
                     if not verify_record(group, rec):
                         raise RegistryIOError("zeta does not match its fields")
                     registry.add(rec)

@@ -5,10 +5,13 @@ import os
 import stat
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from przkbind import groups
 from przkbind.cli import main
 from przkbind.protocol import OpCounts
+from przkbind.registration import RegistryIOError, load_registry
 from przkbind.simulator import KIND_ORDER, CampaignConfig, SessionMetrics, compute_aggregates
 
 from conftest import T0
@@ -273,6 +276,60 @@ def test_malformed_key_file_is_integrity_failure(run, keyfiles, command, name, e
     assert "Traceback" not in err
 
 
+@pytest.fixture(scope="module")
+def p256_files(tmp_path_factory):
+    """A valid P-256 key set and its one-line registry, parsed, by file name."""
+    out = tmp_path_factory.mktemp("p256-keys")
+    assert main(["keygen", "--seed", "tl-001", "--group", "p256", "--out", str(out)]) == 0
+    assert main(["register", "--entity-pub", str(out / "entity.pub.json"), "--twin-pub", str(out / "twin.pub.json"),
+                 "--registry", str(out / "registry.ndjson"), "--time", str(T0)]) == 0
+    return {path.name: json.loads(path.read_text()) for path in out.iterdir()}
+
+
+_MISSING = object()
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text().filter(lambda s: s.lower() not in ("toy", "p256")),  # a group id would swap the group
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_malformed_stored_field_is_one_line_integrity_failure(run, p256_files, tmp_path, data):
+    name = data.draw(st.sampled_from(sorted(p256_files)))
+    valid = p256_files[name]
+    hexes = {obj[field] for obj in p256_files.values() for field in ("s_p", "sk_d", "pk_p", "pk_d", "zeta")
+             if field in obj}
+    if data.draw(st.booleans()):
+        obj = dict(valid)
+        for field in data.draw(st.lists(st.sampled_from(sorted(valid)), min_size=1, unique=True)):
+            # hex of another length: for an element or a scalar, the encoding of another kind
+            other_length = lambda text, field=field: len(text) != len(str(valid[field]))
+            obj[field] = data.draw(st.just(_MISSING) | _JSON | st.binary(max_size=40).map(bytes.hex).filter(other_length)
+                                   | st.sampled_from(sorted(filter(other_length, hexes))))
+        obj = {field: value for field, value in obj.items() if value is not _MISSING}
+    else:
+        obj = data.draw(_JSON)
+    assume(obj != valid)
+    for file_name, content in p256_files.items():
+        (tmp_path / file_name).write_text(json.dumps(obj if file_name == name else content) + "\n")
+    paths = {file_name: str(tmp_path / file_name) for file_name in p256_files}
+    if name.endswith(".pub.json"):
+        args = ("register", "--entity-pub", paths["entity.pub.json"], "--twin-pub", paths["twin.pub.json"],
+                "--registry", paths["registry.ndjson"], "--time", str(T0 + 1))
+    else:
+        args = ("authenticate", "--entity-key", paths["entity.key.json"], "--twin-key", paths["twin.key.json"],
+                "--registry", paths["registry.ndjson"])
+    code, _, err = run(*args)
+    assert code == 3 and err.count("\n") == 1 and "Traceback" not in err, (obj, err)
+    if name == "registry.ndjson":
+        assert err.startswith("error: record 0: ")
+        with pytest.raises(RegistryIOError, match="^record 0: "):
+            load_registry(groups.get_group("p256"), paths[name])
+
+
 class TestSimulate:
     def test_summary_and_files(self, run, tmp_path):
         code, out, _ = run(
@@ -415,6 +472,15 @@ class TestSimulate:
         code, out, _ = run("simulate")
         assert code == 0
         assert "12 / 0" in out
+
+    def test_empty_env_var_means_no_config(self, run, tmp_path, monkeypatch):
+        args = ("simulate", "--sessions", "5", "--group", "toy")
+        assert run(*args)[0] == 0
+        defaults = (tmp_path / "report.json").read_bytes()
+        monkeypatch.setenv("PRZKBIND_CONFIG", "")
+        code, _, err = run(*args)
+        assert (code, err) == (0, "")
+        assert (tmp_path / "report.json").read_bytes() == defaults
 
 
 class _Recomputed(dict):

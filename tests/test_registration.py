@@ -177,6 +177,30 @@ class TestPersistence:
         with pytest.raises(RegistryIOError, match="record 1"):
             load_registry(toy, path)
 
+    @pytest.mark.parametrize("t", [True, -1, 2**64, "1"])
+    def test_timestamp_outside_u64_integers_named(self, toy, tmp_path, t):
+        registry = Registry(toy)
+        registry.register(13, 8, T0)
+        path = tmp_path / "registry.ndjson"
+        save_registry(registry, path)
+        obj = json.loads(path.read_text())
+        obj["t"] = t
+        path.write_text(json.dumps(obj) + "\n")
+        with pytest.raises(RegistryIOError, match=r"^record 0: field 't'"):
+            load_registry(toy, path)
+
+    def test_boolean_timestamp_is_never_saved(self, toy, tmp_path):
+        # zeta of t = 1, which a boolean true would pass for
+        line = {"pk_p": "0000000d", "pk_d": "00000008", "t": True, "zeta": compute_zeta(toy, 13, 8, 1).hex()}
+        path = tmp_path / "registry.ndjson"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(RegistryIOError, match=r"^record 0: field 't'"):
+            load_registry(toy, path)
+        line["t"] = 1
+        path.write_text(json.dumps(line) + "\n")
+        save_registry(load_registry(toy, path), path)
+        assert path.read_text() == json.dumps(line) + "\n"
+
     def test_missing_key_named(self, toy, tmp_path):
         path = tmp_path / "registry.ndjson"
         path.write_text('{"pk_p": "00000002", "pk_d": "00000004", "t": 5}\n')
