@@ -48,12 +48,10 @@ from .simulator import (
     CampaignConfig,
     CampaignReport,
     ConfigError,
-    SessionMetrics,
     SimulationError,
     _spawn_rng,
     compute_aggregates,
     run_campaign,
-    unreadable_row,
 )
 
 class IntegrityFailure(Exception):
@@ -112,7 +110,7 @@ def keygen(seed: str, group_id: str, out_dir: Path) -> None:
 @click.option("--entity-pub", required=True, type=click.Path(exists=True, path_type=Path))
 @click.option("--twin-pub", required=True, type=click.Path(exists=True, path_type=Path))
 @click.option("--registry", "registry_path", required=True, type=click.Path(path_type=Path))
-@click.option("--time", "timestamp", type=int, default=None, help="Binding timestamp (default: now).")
+@click.option("--time", "timestamp", type=click.IntRange(0, 2**64 - 1), help="Binding timestamp (default: now).")
 def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: int | None) -> None:
     """Mint the binding record for a key pair and append it to the registry."""
     entity_obj = _load_key_file(entity_pub, "pk_p")
@@ -291,24 +289,18 @@ def report(in_path: Path, fmt: str) -> None:
     """Cross-check a report's stored aggregates and reprint it."""
     obj = _load_json(in_path, IntegrityFailure)
     try:
-        config = CampaignConfig.from_dict(obj["config"])
-        metrics = [SessionMetrics.from_dict(s) for s in obj["sessions"]]
-        stored = obj["aggregates"]
-        if not isinstance(stored, dict):
-            raise TypeError("aggregates is not an object")
-        if [m.index for m in metrics] != list(range(config.sessions)):
-            raise ValueError(f"rows are not sessions 0..{config.sessions - 1} in index order")
+        stored = CampaignReport.from_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        raise IntegrityFailure(f"malformed report file: {unreadable_row(obj) or exc}") from exc
-    recomputed = compute_aggregates(metrics, config.energy_weights)
-    for metric, value in recomputed.items():
-        if metric not in stored:
+        raise IntegrityFailure(f"malformed report file: {exc}") from exc
+    recomputed = compute_aggregates(stored.sessions, stored.config.energy_weights)
+    for metric, value in recomputed.items():  # as JSON text: a stored false is not a recomputed 0
+        if metric not in stored.aggregates:
             raise IntegrityFailure(f"aggregate mismatch: {metric} missing from report")
-        if stored[metric] != value:
+        if json.dumps(stored.aggregates[metric], sort_keys=True) != json.dumps(value, sort_keys=True):
             raise IntegrityFailure(f"aggregate mismatch: {metric}")
 
     if fmt in ("json", "csv"):
-        rebuilt = CampaignReport(config, metrics, recomputed)
+        rebuilt = CampaignReport(stored.config, stored.sessions, recomputed)
         click.echo(rebuilt.to_json() if fmt == "json" else rebuilt.to_csv(), nl=False)
     else:
         _echo_summary(recomputed)

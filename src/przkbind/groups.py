@@ -44,8 +44,7 @@ def _tagged(tag: bytes, fields: Iterable[bytes]) -> bytes:
     for f in fields:
         if not isinstance(f, (bytes, bytearray)):
             raise TypeError(f"hash input must be bytes, got {type(f).__name__}")
-        parts.append(struct.pack(">I", len(f)))
-        parts.append(bytes(f))
+        parts += (len(f).to_bytes(4, "big"), f)
     return b"".join(parts)
 
 

@@ -9,8 +9,8 @@ live sessions never consult the registry again.
 ``FIELDS`` is the one table through which key files (one JSON object
 each) and registry lines (one JSON object per line: ``pk_p``, ``pk_d``,
 ``t``, ``zeta``) are read and written. Elements, scalars and byte strings
-are hex of the group's canonical encodings; ``t`` is a JSON integer in
-[0, 2^64), never a boolean.
+are hex of the group's canonical encodings, and a public key is never the
+identity element; ``t`` is a JSON integer in [0, 2^64), never a boolean.
 """
 
 from __future__ import annotations
@@ -100,6 +100,13 @@ class Registry:
         self._records[key] = rec
 
 
+def _read_key(group: Group, value: str) -> Element:
+    """A stored public key: a group element other than the identity."""
+    if (pk := group.decode(bytes.fromhex(value))) == group.identity:
+        raise RegistrationError("the identity element is not a public key")
+    return pk
+
+
 # name -> (JSON type, read(group, value), write(group, value)): how each
 # key-file and registry field is stored.
 FIELDS = {
@@ -108,10 +115,8 @@ FIELDS = {
     "s_p": (str, lambda group, value: bytes.fromhex(value), lambda group, value: value.hex()),
     "sk_d": (str, lambda group, value: group.decode_scalar(bytes.fromhex(value)),
              lambda group, value: group.encode_scalar(value).hex()),
-    "pk_p": (str, lambda group, value: group.decode(bytes.fromhex(value)),
-             lambda group, value: group.encode(value).hex()),
-    "pk_d": (str, lambda group, value: group.decode(bytes.fromhex(value)),
-             lambda group, value: group.encode(value).hex()),
+    "pk_p": (str, _read_key, lambda group, value: group.encode(value).hex()),
+    "pk_d": (str, _read_key, lambda group, value: group.encode(value).hex()),
     "t": (int, lambda group, value: struct.unpack(">Q", encode_timestamp(value))[0], lambda group, value: value),
     "zeta": (str, lambda group, value: bytes.fromhex(value), lambda group, value: value.hex()),
 }

@@ -59,6 +59,7 @@ DEFAULT_ENERGY_WEIGHTS = {"group_exp": 10.0, "group_mul": 1.0, "hash": 1.0}
 _BINDING_TIME = 1_700_000_000  # fixed registration timestamp for campaigns
 _WARMUP_SESSIONS = 3
 _op_counts = attrgetter(*OP_NAMES)  # an OpCounts' values, in OP_NAMES order
+_OP_KEYS = frozenset(OP_NAMES)  # the keys of a report row's ops.p and ops.d
 _SESSION_KINDS = (HONEST, *KIND_ORDER)
 # A report row's flat fields, in the order it lists them, and the types each
 # may hold; the one nested entry, "ops", follows them and holds ints.
@@ -192,10 +193,15 @@ class SessionMetrics:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "SessionMetrics":
-        """Rebuild a report row; a value of the wrong type is a TypeError,
-        and one that is negative, not finite or at odds with the row's kind
-        and verdict a ValueError, each naming the row's index."""
-        values, ops = _row_items(obj), obj["ops"]
+        """Rebuild a report row that holds an index; a missing field or a value of the wrong type is a
+        TypeError, one negative, not finite or at odds with kind and verdict a ValueError, naming the index."""
+        try:
+            values, ops = _row_items(obj), obj["ops"]
+        except KeyError as missing:  # the first of _ROW_TYPES' fields, then ops, that the row lacks
+            raise TypeError(f"session {obj['index']!r} lacks {missing.args[0]}") from None
+        for party in "pd":
+            if not (isinstance(ops, dict) and isinstance(ops.get(party), dict) and ops[party].keys() == _OP_KEYS):
+                raise TypeError(f"session {obj['index']!r} lacks ops.{party} (an object of op counts)")
         # positional, in SessionMetrics' field order: its ops follow the row's first five fields
         m = cls(*values[:5], OpCounts(**ops["p"]), OpCounts(**ops["d"]), *values[5:])
         if tuple(map(type, values)) not in _ROW_SHAPES:
@@ -204,8 +210,8 @@ class SessionMetrics:
         if m.kind not in _SESSION_KINDS:
             raise TypeError(f"session {m.index!r}: kind {m.kind!r} is not a session kind")
         counts = _op_counts(m.ops_p) + _op_counts(m.ops_d)
-        if set(map(type, counts)) != {int} or {len(ops["p"]), len(ops["d"])} != {len(OP_NAMES)}:
-            raise TypeError(f"session {m.index!r}: ops has the wrong type or lacks an op count")
+        if set(map(type, counts)) != {int}:
+            raise TypeError(f"session {m.index!r}: an op count is not an integer")
         for name in _LATENCIES:
             if not 0 <= (getattr(m, name) or 0) < math.inf:
                 raise ValueError(f"session {m.index!r}: latency {name} is negative or not finite")
@@ -216,20 +222,6 @@ class SessionMetrics:
         if m.kind == HONEST and (m.key_agreement is not m.accepted or m.accepted and m.key_establish_ms is None):
             raise ValueError(f"session {m.index!r}: key_agreement != accepted, or accepted without key_establish_ms")
         return m
-
-
-def unreadable_row(report) -> Optional[str]:
-    """The first row of ``report`` not an object with every field, by index (or position), and why."""
-    rows = report.get("sessions") if isinstance(report, dict) else None
-    for position, row in enumerate(rows if isinstance(rows, list) else []):
-        if not isinstance(row, dict):
-            return f"row {position} is not an object"
-        name = f"session {row['index']!r}" if "index" in row else f"row {position}"
-        ops = row["ops"] if isinstance(row.get("ops"), dict) else {}
-        shapeless = [f"ops.{party} (an object of op counts)" for party in "pd"
-                     if not (isinstance(ops.get(party), dict) and ops[party].keys() == set(OP_NAMES))]
-        if lacking := [field for field in _ROW_TYPES if field not in row] + shapeless:
-            return f"{name} lacks {lacking[0]}"
 
 
 _SLOT = "\0"  # a string no config or aggregates block holds (their strings are checked names)
@@ -263,6 +255,21 @@ class CampaignReport:
             "sessions": [m.to_dict() for m in self.sessions],
             "aggregates": self.aggregates,
         }
+
+    @classmethod
+    def from_dict(cls, obj) -> "CampaignReport":
+        """A parsed report file; an error names the bad block, or the row by index (or position, if it has none)."""
+        config = CampaignConfig.from_dict(obj["config"])
+        sessions = []
+        for position, row in enumerate(obj["sessions"]):
+            if not isinstance(row, dict) or "index" not in row:
+                raise TypeError(f"row {position} " + ("lacks index" if isinstance(row, dict) else "is not an object"))
+            sessions.append(SessionMetrics.from_dict(row))
+        if not isinstance(obj["aggregates"], dict):
+            raise TypeError("aggregates is not an object")
+        if [m.index for m in sessions] != list(range(config.sessions)):
+            raise ValueError(f"rows are not sessions 0..{config.sessions - 1} in index order")
+        return cls(config, sessions, obj["aggregates"])
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2) + "\\n", byte for byte. The C

@@ -12,7 +12,7 @@ from przkbind import groups
 from przkbind.cli import main
 from przkbind.protocol import OpCounts
 from przkbind.registration import RegistryIOError, load_registry
-from przkbind.simulator import KIND_ORDER, CampaignConfig, SessionMetrics, compute_aggregates
+from przkbind.simulator import KIND_ORDER, CampaignConfig, SessionMetrics, compute_aggregates, run_campaign
 
 from conftest import T0
 
@@ -44,6 +44,12 @@ def keyfiles(run, tmp_path):
     )
     assert code == 0
     return tmp_path
+
+
+_REGISTER = ("register", "--entity-pub", "keys/entity.pub.json", "--twin-pub",
+             "keys/twin.pub.json", "--registry", "registry.ndjson", "--time", str(T0 + 1))
+_AUTHENTICATE = ("authenticate", "--entity-key", "keys/entity.key.json", "--twin-key",
+                 "keys/twin.key.json", "--registry", "registry.ndjson")
 
 
 class TestKeygen:
@@ -136,6 +142,35 @@ class TestRegister:
         assert code == 2
         assert "already bound" in err
 
+    @pytest.mark.parametrize("t", ["-1", str(2**64)])
+    def test_time_outside_unsigned_64_bits_is_usage_error(self, run, keyfiles, t):
+        before = (keyfiles / "registry.ndjson").read_bytes()
+        code, _, err = run(*_REGISTER[:-1], t)
+        assert code == 1 and "--time" in err and "Traceback" not in err
+        assert (keyfiles / "registry.ndjson").read_bytes() == before
+
+    @pytest.mark.parametrize("group_id", ["toy", "p256"])
+    @pytest.mark.parametrize("name, field", [("entity.pub.json", "pk_p"), ("twin.pub.json", "pk_d")])
+    def test_identity_public_key_is_integrity_failure(self, run, tmp_path, group_id, name, field):
+        assert run("keygen", "--seed", "tl-001", "--group", group_id, "--out", "keys")[0] == 0
+        group = groups.get_group(group_id)
+        (tmp_path / "keys" / name).write_text(json.dumps({"group": group_id, field: group.encode(group.identity).hex()}))
+        code, _, err = run(*_REGISTER)
+        assert code == 3 and err.count("\n") == 1 and "Traceback" not in err
+        assert name in err and repr(field) in err and "identity element" in err
+        assert not (tmp_path / "registry.ndjson").exists()
+
+
+@pytest.mark.parametrize("command, toy_file, p256_file", [
+    ("register", "entity.pub.json", "twin.pub.json"),
+    ("authenticate", "twin.key.json", "entity.key.json"),
+])
+def test_key_files_of_different_groups_are_usage_error(run, keyfiles, command, toy_file, p256_file):
+    assert run("keygen", "--seed", "tl-001", "--group", "p256", "--out", "p256-keys")[0] == 0
+    (keyfiles / "keys" / p256_file).write_bytes((keyfiles / "p256-keys" / p256_file).read_bytes())
+    code, _, err = run(*(_REGISTER if command == "register" else _AUTHENTICATE))
+    assert code == 1 and "different groups" in err and "Traceback" not in err
+
 
 class TestAuthenticate:
     def test_successful_session_prints_states_and_transcript(self, run, keyfiles):
@@ -225,12 +260,6 @@ class TestAuthenticate:
         )
         assert code == 3
         assert "no binding record" in err
-
-
-_REGISTER = ("register", "--entity-pub", "keys/entity.pub.json", "--twin-pub",
-             "keys/twin.pub.json", "--registry", "registry.ndjson", "--time", str(T0 + 1))
-_AUTHENTICATE = ("authenticate", "--entity-key", "keys/entity.key.json", "--twin-key",
-                 "keys/twin.key.json", "--registry", "registry.ndjson")
 
 
 @pytest.mark.parametrize(
@@ -452,6 +481,16 @@ class TestSimulate:
         assert code == 1
         assert "--parallel" in err
 
+    def test_single_latency_is_both_bounds(self, run, tmp_path):
+        assert run("simulate", "--sessions", "5", "--group", "toy", "--latency", "15")[0] == 0
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["latency_range_ms"] == [15.0, 15.0]
+
+    @pytest.mark.parametrize("flag, value", [("--latency", "abc"), ("--mix", "replay"), ("--mix", "replay=x")])
+    def test_unparsable_flag_is_usage_error(self, run, tmp_path, flag, value):
+        code, _, err = run("simulate", "--sessions", "5", "--adv-ratio", "0.5", "--group", "toy", flag, value)
+        assert code == 1 and flag in err and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_sessions_is_usage_error(self, run):
         code, _, err = run("simulate", "--group", "toy")
         assert code == 1
@@ -528,6 +567,22 @@ class TestReport:
         code, _, err = run("report", "--in", str(report_file))
         assert code == 3
         assert "far" in err
+
+    def test_missing_aggregate_detected(self, run, report_file):
+        obj = json.loads(report_file.read_text())
+        del obj["aggregates"]["far"]
+        report_file.write_text(json.dumps(obj))
+        assert run("report", "--in", str(report_file)) == (3, "", "error: aggregate mismatch: far missing from report\n")
+
+    @pytest.mark.parametrize("metric, stored", [("honest_accept_rate", True), ("honest_accept_rate", 1),
+                                                ("sessions", 30.0)])
+    def test_aggregate_of_another_json_type_detected(self, run, report_file, metric, stored):
+        # each stored value equals the recomputed one in Python: 1.0 == True == 1, 30 == 30.0
+        obj = json.loads(report_file.read_text())
+        assert obj["aggregates"][metric] == stored and json.dumps(obj["aggregates"][metric]) != json.dumps(stored)
+        obj["aggregates"][metric] = stored
+        report_file.write_text(json.dumps(obj))
+        assert run("report", "--in", str(report_file)) == (3, "", f"error: aggregate mismatch: {metric}\n")
 
     @pytest.mark.parametrize("drop", [0, -1])
     def test_rows_must_be_every_session_of_the_config(self, run, report_file, drop):
@@ -611,3 +666,54 @@ class TestReport:
         assert all(name in err for name in names)
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+_KINDS = {type(None): "null", bool: "boolean", int: "number", float: "number", str: "string", list: "array",
+          dict: "object"}  # a parsed JSON value's type -> its JSON kind
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def report_text():
+    """A valid 20-session toy report file with honest and adversarial rows."""
+    return run_campaign(CampaignConfig(sessions=20, adv_ratio=0.5, group_id="toy", rng_seed=4)).to_json()
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_malformed_report_is_one_line_integrity_failure(run, report_text, tmp_path, data):
+    # Drop, replace or retype a block or a row; drop or retype a row's field, one of
+    # its op counts or an aggregate; or reorder the rows. A config field is not
+    # edited: a report's config is read as a config file, where a missing field
+    # takes its default and a latency may be one number, and only its sessions
+    # and energy weights are checked against the rows.
+    obj = json.loads(report_text)
+    rows = obj["sessions"]
+    row = data.draw(st.sampled_from(rows))
+    where = data.draw(st.sampled_from(["block", "row", "field", "ops", "op count", "aggregate", "order"]))
+    if where == "order":
+        order = data.draw(st.permutations(range(len(rows))).filter(lambda order: order != sorted(order)))
+        obj["sessions"] = [rows[i] for i in order]
+    else:
+        container = {"block": obj, "row": rows, "field": row, "ops": row["ops"],
+                     "op count": row["ops"][data.draw(st.sampled_from("pd"))], "aggregate": obj["aggregates"]}[where]
+        key = data.draw(st.sampled_from(range(len(rows)) if container is rows else sorted(container)))
+        old = container[key]
+        actions = ["drop", "retype"] + ["replace"] * (where in ("block", "row"))
+        action = data.draw(st.sampled_from(actions))
+        if action == "drop":
+            del container[key]
+        elif action == "retype":
+            container[key] = data.draw(_ANY_JSON.filter(lambda value: _KINDS[type(value)] != _KINDS[type(old)]))
+        else:
+            copies = st.sampled_from(rows).map(dict) if container is rows else st.nothing()
+            container[key] = data.draw((_ANY_JSON | copies).filter(lambda value: value != old))
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run("report", "--in", str(path))
+    assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1, (obj, err)
+    assert "Traceback" not in err

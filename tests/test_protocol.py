@@ -262,6 +262,15 @@ class TestEntitySession:
         assert p.phase is Phase.FAILED
         assert p.failure is Reason.DEGENERATE_COMMITMENT
 
+    @pytest.mark.parametrize("env_name, alpha", [("toy_env", 5), ("p256_env", (1, 2))])
+    def test_non_member_commitment_is_degenerate(self, env_name, alpha, request):
+        # 5 is not a square mod 23; (1, 2) is not on the curve
+        env = request.getfixturevalue(env_name)
+        assert not env["group"].is_member(alpha)
+        p = make_entity(env)
+        assert p.receive(Commit(alpha)) == [Verdict(False, Reason.DEGENERATE_COMMITMENT)]
+        assert p.phase is Phase.FAILED and p.failure is Reason.DEGENERATE_COMMITMENT
+
     def test_challenge_out_of_phase_raises(self, toy_env):
         p = make_entity(toy_env)
         p.challenge(Commit(9))
@@ -884,6 +893,11 @@ class TestFiatShamir:
     def test_identity_public_key_rejected(self, toy_env):
         toy = toy_env["group"]
         assert not fiat_shamir_verify(toy, toy.identity, toy_env["record"].zeta, 9, 5)
+
+    @pytest.mark.parametrize("env_name, alpha", [("toy_env", 5), ("p256_env", (1, 2))])
+    def test_non_member_commitment_rejected(self, env_name, alpha, request):
+        env = request.getfixturevalue(env_name)
+        assert fiat_shamir_verify(env["group"], env["twin"].pk_d, env["record"].zeta, alpha, 1) is False
 
 
 class TestExtraction:

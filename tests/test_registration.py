@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from przkbind.groups import get_group
 from przkbind.registration import (
     BindingRecord,
     RegistrationError,
@@ -14,6 +15,7 @@ from przkbind.registration import (
     load_registry,
     save_registry,
     verify_record,
+    write_fields,
 )
 
 from conftest import T0
@@ -200,6 +202,18 @@ class TestPersistence:
         path.write_text(json.dumps(line) + "\n")
         save_registry(load_registry(toy, path), path)
         assert path.read_text() == json.dumps(line) + "\n"
+
+    @pytest.mark.parametrize("group_id", ["toy", "p256"])
+    @pytest.mark.parametrize("field", ["pk_p", "pk_d"])
+    def test_identity_key_refused_though_zeta_matches(self, tmp_path, group_id, field):
+        group = get_group(group_id)
+        keys = {"pk_p": group.exp(group.g, 2), "pk_d": group.exp(group.g, 3), field: group.identity}
+        rec = BindingRecord(**keys, t=T0, zeta=compute_zeta(group, keys["pk_p"], keys["pk_d"], T0))
+        assert verify_record(group, rec)
+        path = tmp_path / "registry.ndjson"
+        path.write_text(json.dumps(write_fields(group, vars(rec))) + "\n")
+        with pytest.raises(RegistryIOError, match=f"^record 0: field '{field}': the identity element"):
+            load_registry(group, path)
 
     def test_missing_key_named(self, toy, tmp_path):
         path = tmp_path / "registry.ndjson"
