@@ -51,6 +51,7 @@ from .simulator import (
     SimulationError,
     _spawn_rng,
     compute_aggregates,
+    kind_counts,
     run_campaign,
 )
 
@@ -290,6 +291,7 @@ def report(in_path: Path, fmt: str) -> None:
     obj = _load_json(in_path, IntegrityFailure)
     try:
         stored = CampaignReport.from_dict(obj)
+        allocated = kind_counts(stored.config.sessions, stored.config.adv_ratio, stored.config.adversary_mix)
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise IntegrityFailure(f"malformed report file: {exc}") from exc
     recomputed = compute_aggregates(stored.sessions, stored.config.energy_weights)
@@ -298,6 +300,8 @@ def report(in_path: Path, fmt: str) -> None:
             raise IntegrityFailure(f"aggregate mismatch: {metric} missing from report")
         if json.dumps(stored.aggregates[metric], sort_keys=True) != json.dumps(value, sort_keys=True):
             raise IntegrityFailure(f"aggregate mismatch: {metric}")
+    if recomputed["kind_counts"] != allocated:
+        raise IntegrityFailure(f"kind_counts differ from what the config allocates: {allocated}")
 
     if fmt in ("json", "csv"):
         rebuilt = CampaignReport(stored.config, stored.sessions, recomputed)

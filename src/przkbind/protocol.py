@@ -145,7 +145,7 @@ class SessionKey:
     k_pd: bytes = field(repr=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class OpCounts:
     """Per-party operation tally used by the overhead/energy metrics.
 

@@ -13,13 +13,12 @@ reports.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
@@ -59,10 +58,11 @@ DEFAULT_ENERGY_WEIGHTS = {"group_exp": 10.0, "group_mul": 1.0, "hash": 1.0}
 _BINDING_TIME = 1_700_000_000  # fixed registration timestamp for campaigns
 _WARMUP_SESSIONS = 3
 _op_counts = attrgetter(*OP_NAMES)  # an OpCounts' values, in OP_NAMES order
+_op_items = itemgetter(*OP_NAMES)  # a report row's ops.p or ops.d values, in OP_NAMES order
 _OP_KEYS = frozenset(OP_NAMES)  # the keys of a report row's ops.p and ops.d
 _SESSION_KINDS = (HONEST, *KIND_ORDER)
-# A report row's flat fields, in the order it lists them, and the types each
-# may hold; the one nested entry, "ops", follows them and holds ints.
+# A report row's flat fields, in the order it lists them, and the types each may hold; the one nested
+# entry, "ops", follows them and holds ints. _ROW_SHAPES holds each allowed tuple of a row's types.
 _ROW_TYPES = {
     "index": (int,),
     "kind": (str,),
@@ -72,9 +72,12 @@ _ROW_TYPES = {
     "key_agreement": (bool, type(None)),
     "detail": (str,),
 }
-_ROW_SHAPES = frozenset(product(*_ROW_TYPES.values()))  # each allowed tuple of field types
+_ROW_SHAPES = frozenset(product(*_ROW_TYPES.values(), *[(int,)] * (2 * len(OP_NAMES))))  # then ops.p, ops.d
 _LATENCIES = tuple(name for name, types in _ROW_TYPES.items() if float in types)  # sums of delays
 _row_items = itemgetter(*_ROW_TYPES)  # a report row's flat fields
+_outcome = attrgetter("kind", "accepted", "key_agreement")  # what the aggregates count of a row
+_auth_latency, _key_time = attrgetter("auth_latency_ms"), attrgetter("key_establish_ms")
+_OP_TOTALS = [(op, attrgetter(f"ops_p.{op}"), attrgetter(f"ops_d.{op}")) for op in OP_NAMES]
 
 
 class ConfigError(ValueError):
@@ -175,7 +178,7 @@ class CampaignConfig:
         return cfg
 
 
-@dataclass
+@dataclass(slots=True)
 class SessionMetrics:
     index: int
     kind: str
@@ -199,19 +202,20 @@ class SessionMetrics:
             values, ops = _row_items(obj), obj["ops"]
         except KeyError as missing:  # the first of _ROW_TYPES' fields, then ops, that the row lacks
             raise TypeError(f"session {obj['index']!r} lacks {missing.args[0]}") from None
-        for party in "pd":
-            if not (isinstance(ops, dict) and isinstance(ops.get(party), dict) and ops[party].keys() == _OP_KEYS):
-                raise TypeError(f"session {obj['index']!r} lacks ops.{party} (an object of op counts)")
+        try:  # both parties' counts if ops.p and ops.d are objects of exactly the op names, else False
+            counts = ops["p"].keys() == ops["d"].keys() == _OP_KEYS and _op_items(ops["p"]) + _op_items(ops["d"])
+        except (AttributeError, KeyError, TypeError):
+            counts = False
+        if not counts:
+            p_ok = isinstance(ops, dict) and isinstance(ops.get("p"), dict) and ops["p"].keys() == _OP_KEYS
+            raise TypeError(f"session {obj['index']!r} lacks ops.{'d' if p_ok else 'p'} (an object of op counts)")
         # positional, in SessionMetrics' field order: its ops follow the row's first five fields
-        m = cls(*values[:5], OpCounts(**ops["p"]), OpCounts(**ops["d"]), *values[5:])
-        if tuple(map(type, values)) not in _ROW_SHAPES:
-            name = next(n for (n, types), v in zip(_ROW_TYPES.items(), values) if type(v) not in types)
-            raise TypeError(f"session {m.index!r}: {name} has the wrong type")
-        if m.kind not in _SESSION_KINDS:
-            raise TypeError(f"session {m.index!r}: kind {m.kind!r} is not a session kind")
-        counts = _op_counts(m.ops_p) + _op_counts(m.ops_d)
-        if set(map(type, counts)) != {int}:
-            raise TypeError(f"session {m.index!r}: an op count is not an integer")
+        m = cls(*values[:5], OpCounts(*counts[:len(OP_NAMES)]), OpCounts(*counts[len(OP_NAMES):]), *values[5:])
+        if tuple(map(type, values + counts)) not in _ROW_SHAPES or m.kind not in _SESSION_KINDS:
+            # name the first fault: a field of the wrong type, then the kind, then the op counts
+            faults = [f"{n} has the wrong type" for (n, types), v in zip(_ROW_TYPES.items(), values) if type(v) not in types]
+            faults += [f"kind {m.kind!r} is not a session kind"] * (m.kind not in _SESSION_KINDS)
+            raise TypeError(f"session {m.index!r}: {(faults + ['an op count is not an integer'])[0]}")
         for name in _LATENCIES:
             if not 0 <= (getattr(m, name) or 0) < math.inf:
                 raise ValueError(f"session {m.index!r}: latency {name} is negative or not finite")
@@ -241,6 +245,9 @@ def _row_layout() -> Tuple[str, Callable]:
 
 
 _ROW_TEMPLATE, _row_values = _row_layout()
+_CSV_HEADER = ",".join(["index", "kind", "accepted", "auth_latency_ms", "key_establish_ms"]
+                       + [f"{party}_{op}" for party in "pd" for op in OP_NAMES])
+_CSV_ROW = "%d,%s,%s,%r,%s" + ",%d" * (2 * len(OP_NAMES))
 
 
 @dataclass
@@ -260,11 +267,17 @@ class CampaignReport:
     def from_dict(cls, obj) -> "CampaignReport":
         """A parsed report file; an error names the bad block, or the row by index (or position, if it has none)."""
         config = CampaignConfig.from_dict(obj["config"])
-        sessions = []
-        for position, row in enumerate(obj["sessions"]):
-            if not isinstance(row, dict) or "index" not in row:
-                raise TypeError(f"row {position} " + ("lacks index" if isinstance(row, dict) else "is not an object"))
-            sessions.append(SessionMetrics.from_dict(row))
+        rows = obj["sessions"]
+        if not isinstance(rows, list):
+            raise TypeError("sessions is not a list")
+        try:
+            sessions = [SessionMetrics.from_dict(row) for row in rows]
+        except (KeyError, TypeError):  # read the rows again, naming one without an index by its position
+            for position, row in enumerate(rows):
+                if not isinstance(row, dict) or "index" not in row:
+                    raise TypeError(f"row {position} " + ("lacks index" if isinstance(row, dict) else "is not an object"))
+                SessionMetrics.from_dict(row)
+            raise
         if not isinstance(obj["aggregates"], dict):
             raise TypeError("aggregates is not an object")
         if [m.index for m in sessions] != list(range(config.sessions)):
@@ -288,24 +301,11 @@ class CampaignReport:
         return text + "\n"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["index", "kind", "accepted", "auth_latency_ms", "key_establish_ms"]
-            + [f"{party}_{op}" for party in "pd" for op in OP_NAMES]
-        )
-        for m in self.sessions:
-            writer.writerow(
-                [
-                    m.index,
-                    m.kind,
-                    str(m.accepted).lower(),
-                    repr(m.auth_latency_ms),
-                    "" if m.key_establish_ms is None else repr(m.key_establish_ms),
-                    *_op_counts(m.ops_p), *_op_counts(m.ops_d),
-                ]
-            )
-        return buf.getvalue()
+        """One _CSV_ROW per session; no cell needs quoting, as kind is a session-kind name."""
+        rows = [_CSV_ROW % (m.index, m.kind, "true" if m.accepted else "false", m.auth_latency_ms,
+                            "" if m.key_establish_ms is None else repr(m.key_establish_ms),
+                            *_op_counts(m.ops_p), *_op_counts(m.ops_d)) for m in self.sessions]
+        return "\n".join([_CSV_HEADER, *rows, ""])
 
 
 # -- environment ------------------------------------------------------------
@@ -352,35 +352,36 @@ def build_env(config: CampaignConfig) -> CampaignEnv:
 # -- session execution --------------------------------------------------------
 
 
-def allocate_kinds(
-    sessions: int, adv_ratio: float, mix: Dict[str, float], rng: random.Random
-) -> List[str]:
-    """Deterministic session-kind assignment.
-
-    Exactly ceil(sessions * adv_ratio) sessions are adversarial (exact
-    arithmetic, so a 0.1 ratio of 5000 yields 500); kind counts follow
-    the mix weights by largest remainder, and placement comes from one
-    seeded shuffle.
-    """
+def kind_counts(sessions: int, adv_ratio: float, mix: Dict[str, float]) -> Dict[str, int]:
+    """How many sessions of each kind a campaign runs, honest first, as its aggregates
+    list them: exactly ceil(sessions * adv_ratio) are adversarial (exact arithmetic, so
+    a 0.1 ratio of 5000 yields 500), their kinds following the mix by largest remainder."""
     n_adv = math.ceil(Fraction(str(adv_ratio)) * sessions) if adv_ratio else 0
-    kinds = [HONEST] * sessions
+    counts = {HONEST: sessions - n_adv, **dict.fromkeys(KIND_ORDER, 0)}
     if n_adv == 0:
-        return kinds
-    weights = [(kind, mix.get(kind, 0.0)) for kind in KIND_ORDER]
-    total = sum(w for _, w in weights)
-    quotas = [(kind, Fraction(str(w)) * n_adv / Fraction(str(total))) for kind, w in weights]
-    counts = {kind: math.floor(qt) for kind, qt in quotas}
-    remainder = n_adv - sum(counts.values())
+        return counts
+    total = Fraction(str(sum(mix.get(kind, 0.0) for kind in KIND_ORDER)))
+    quotas = [(kind, Fraction(str(mix.get(kind, 0.0))) * n_adv / total) for kind in KIND_ORDER]
+    counts.update((kind, math.floor(qt)) for kind, qt in quotas)
+    remainder = n_adv - sum(counts[kind] for kind in KIND_ORDER)
     by_fraction = sorted(quotas, key=lambda kv: (kv[1] - math.floor(kv[1])), reverse=True)
     for kind, _ in by_fraction[:remainder]:
         counts[kind] += 1
-    adv_kinds: List[str] = []
-    for kind in KIND_ORDER:
-        adv_kinds.extend([kind] * counts[kind])
+    return counts
+
+
+def allocate_kinds(sessions: int, adv_ratio: float, mix: Dict[str, float], rng: random.Random) -> List[str]:
+    """Each session's kind: the kind_counts, placed by one seeded shuffle of the
+    adversarial kinds and one of the session indices."""
+    counts = kind_counts(sessions, adv_ratio, mix)
+    kinds = [HONEST] * sessions
+    adv_kinds = [kind for kind in KIND_ORDER for _ in range(counts[kind])]
+    if not adv_kinds:
+        return kinds
     rng.shuffle(adv_kinds)
     indices = list(range(sessions))
     rng.shuffle(indices)
-    for idx, kind in zip(indices[:n_adv], adv_kinds):
+    for idx, kind in zip(indices, adv_kinds):  # the first len(adv_kinds) shuffled indices
         kinds[idx] = kind
     return kinds
 
@@ -494,34 +495,28 @@ def _p95(values: List[float]) -> Optional[float]:
 
 
 def compute_aggregates(metrics: List[SessionMetrics], weights: Dict[str, float]) -> dict:
-    honest = [m for m in metrics if m.kind == HONEST]
-    kind_counts, kind_accepted = {}, {}
-    for kind in _SESSION_KINDS:
-        of_kind = [m for m in metrics if m.kind == kind]
-        kind_counts[kind] = len(of_kind)
-        kind_accepted[kind] = sum(m.accepted for m in of_kind)
-    adversarial_count = sum(kind_counts[kind] for kind in KIND_ORDER)
-    adversarial_accepted = sum(kind_accepted[kind] for kind in KIND_ORDER)
-    far_by_kind = {
-        kind: kind_accepted[kind] / kind_counts[kind] if kind_counts[kind] else None
-        for kind in KIND_ORDER
-    }
-    latencies = [m.auth_latency_ms for m in metrics]
-    key_times = [m.key_establish_ms for m in metrics if m.key_establish_ms is not None]
-    all_ops = [ops for m in metrics for ops in (m.ops_p, m.ops_d)]
-    op_totals = {op: sum(getattr(ops, op) for ops in all_ops) for op in OP_NAMES}
+    counts, accepted, agreed = dict.fromkeys(_SESSION_KINDS, 0), dict.fromkeys(_SESSION_KINDS, 0), 0
+    for (kind, accept, agree), n in Counter(map(_outcome, metrics)).items():
+        if kind in counts:
+            counts[kind] += n
+            accepted[kind] += accept * n
+            agreed += n if kind == HONEST and agree else 0
+    honest = counts[HONEST]
+    adversarial_count = sum(counts[kind] for kind in KIND_ORDER)
+    adversarial_accepted = sum(accepted[kind] for kind in KIND_ORDER)
+    latencies = list(map(_auth_latency, metrics))
+    key_times = [t for t in map(_key_time, metrics) if t is not None]
+    op_totals = {op: sum(map(p, metrics)) + sum(map(d, metrics)) for op, p, d in _OP_TOTALS}
     return {
         "sessions": len(metrics),
-        "honest_count": len(honest),
+        "honest_count": honest,
         "adversarial_count": adversarial_count,
-        "kind_counts": kind_counts,
-        "kind_accepted": kind_accepted,
-        "honest_accept_rate": kind_accepted[HONEST] / len(honest) if honest else None,
-        "key_agreement_rate": (
-            sum(bool(m.key_agreement) for m in honest) / len(honest) if honest else None
-        ),
+        "kind_counts": counts,
+        "kind_accepted": accepted,
+        "honest_accept_rate": accepted[HONEST] / honest if honest else None,
+        "key_agreement_rate": agreed / honest if honest else None,
         "far": adversarial_accepted / adversarial_count if adversarial_count else None,
-        "far_by_kind": far_by_kind,
+        "far_by_kind": {kind: accepted[kind] / counts[kind] if counts[kind] else None for kind in KIND_ORDER},
         "mean_auth_latency_ms": sum(latencies) / len(latencies) if latencies else None,
         "p95_auth_latency_ms": _p95(latencies),
         "mean_key_establish_ms": sum(key_times) / len(key_times) if key_times else None,

@@ -12,7 +12,14 @@ from przkbind import groups
 from przkbind.cli import main
 from przkbind.protocol import OpCounts
 from przkbind.registration import RegistryIOError, load_registry
-from przkbind.simulator import KIND_ORDER, CampaignConfig, SessionMetrics, compute_aggregates, run_campaign
+from przkbind.simulator import (
+    KIND_ORDER,
+    CampaignConfig,
+    CampaignReport,
+    SessionMetrics,
+    compute_aggregates,
+    run_campaign,
+)
 
 from conftest import T0
 
@@ -640,6 +647,9 @@ class TestReport:
             (lambda rows: rows[2]["ops"]["d"].update(joules=1), ("session 2", "ops.d", "op counts")),
             # zero counts, written as an empty object, still lack every op name
             (_Recomputed(ops_p=OpCounts(), then=lambda row: row["ops"]["p"].clear()), ("session 0", "lacks ops.p")),
+            # a sessions block that is not a list is named, not read as rows
+            ({"sessions": "[{}]"}, ("sessions is not a list",)),
+            ({"sessions": {"0": {"index": 0}}}, ("sessions is not a list",)),
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
@@ -649,14 +659,15 @@ class TestReport:
             obj = json.loads(report_file.read_text())
             if isinstance(edit, _Recomputed):
                 metrics = [SessionMetrics.from_dict(s) for s in obj["sessions"]]
-                vars(metrics[0]).update(edit)
+                for name, value in edit.items():
+                    setattr(metrics[0], name, value)
                 weights = CampaignConfig.from_dict(obj["config"]).energy_weights
                 obj["aggregates"] = compute_aggregates(metrics, weights)
                 obj["sessions"][0] = metrics[0].to_dict()
                 edit.then(obj["sessions"][0])
             elif callable(edit):
                 edit(obj["sessions"])
-            elif edit.keys() & {"aggregates", "config"}:
+            elif edit.keys() & {"aggregates", "config", "sessions"}:
                 obj.update(edit)
             else:
                 obj["sessions"][0].update(edit)
@@ -689,8 +700,8 @@ def test_any_malformed_report_is_one_line_integrity_failure(run, report_text, tm
     # Drop, replace or retype a block or a row; drop or retype a row's field, one of
     # its op counts or an aggregate; or reorder the rows. A config field is not
     # edited: a report's config is read as a config file, where a missing field
-    # takes its default and a latency may be one number, and only its sessions
-    # and energy weights are checked against the rows.
+    # takes its default and a latency may be one number, and only its sessions,
+    # energy weights and the kind counts it allocates are checked against the rows.
     obj = json.loads(report_text)
     rows = obj["sessions"]
     row = data.draw(st.sampled_from(rows))
@@ -717,3 +728,32 @@ def test_any_malformed_report_is_one_line_integrity_failure(run, report_text, tm
     code, out, err = run("report", "--in", str(path))
     assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1, (obj, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda config: config.update(adv_ratio=0.25),
+        lambda config: config.pop("adv_ratio"),
+        lambda config: config.update(adversary_mix={"replay": 1.0}),
+    ],
+    ids=["adv_ratio_changed", "adv_ratio_removed", "replay_only_mix"],
+)
+def test_config_that_allocates_other_kinds_is_integrity_failure(run, report_text, tmp_path, edit):
+    # the rows and aggregates are the campaign's; only the config's kind allocation is not
+    obj = json.loads(report_text)
+    edit(obj["config"])
+    (tmp_path / "edited.json").write_text(json.dumps(obj))
+    code, out, err = run("report", "--in", "edited.json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: kind_counts differ from what the config allocates") and err.count("\n") == 1
+
+
+def test_fleet_shaped_report_passes(run, tmp_path):
+    # the shape of perfbench's fleet log: adv_ratio 0, every row honest, one row per session
+    ops = OpCounts(4, 3, 2)
+    rows = [SessionMetrics(i, "honest", True, 0.0, 0.0, ops, ops, True, f"device={i % 3}") for i in range(6)]
+    config = CampaignConfig(sessions=len(rows), adv_ratio=0.0, latency_range_ms=(0.0, 0.0), group_id="toy", rng_seed=9)
+    report = CampaignReport(config, rows, compute_aggregates(rows, config.energy_weights))
+    (tmp_path / "fleet.json").write_text(report.to_json())
+    assert run("report", "--in", "fleet.json", "--format", "json") == (0, report.to_json(), "")

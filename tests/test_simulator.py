@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from przkbind.simulator import (
     build_env,
     compute_aggregates,
     energy_proxy,
+    kind_counts,
     run_campaign,
     run_session,
     _spawn_rng,
@@ -90,6 +94,20 @@ class TestAllocation:
         a = allocate_kinds(200, 0.25, {k: 1.0 for k in KIND_ORDER}, random.Random(9))
         b = allocate_kinds(200, 0.25, {k: 1.0 for k in KIND_ORDER}, random.Random(9))
         assert a == b
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sessions=st.integers(1, 300),
+        adv_ratio=st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 0.999, 1.0]) | st.floats(0.0, 1.0),
+        weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0, 1e-9]), min_size=len(KIND_ORDER),
+                         max_size=len(KIND_ORDER)).filter(any),
+    )
+    def test_allocation_places_the_kind_counts(self, sessions, adv_ratio, weights):
+        mix = dict(zip(KIND_ORDER, weights))
+        counts = kind_counts(sessions, adv_ratio, mix)
+        assert list(counts) == [HONEST, *KIND_ORDER]
+        placed = Counter(allocate_kinds(sessions, adv_ratio, mix, random.Random(3)))
+        assert {kind: placed[kind] for kind in counts} == counts
 
 
 class TestSessions:
@@ -290,12 +308,101 @@ _rows = st.builds(
 )
 
 
+def _csv_module_report(report):
+    """The report's CSV as csv.writer writes it, cell by cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(
+        ["index", "kind", "accepted", "auth_latency_ms", "key_establish_ms"]
+        + [f"{party}_{op}" for party in "pd" for op in OP_NAMES]
+    )
+    for m in report.sessions:
+        writer.writerow(
+            [
+                m.index,
+                m.kind,
+                str(m.accepted).lower(),
+                repr(m.auth_latency_ms),
+                "" if m.key_establish_ms is None else repr(m.key_establish_ms),
+                *(getattr(m.ops_p, op) for op in OP_NAMES), *(getattr(m.ops_d, op) for op in OP_NAMES),
+            ]
+        )
+    return buf.getvalue()
+
+
+def _reference_aggregates(metrics, weights):
+    """The aggregates computed kind by kind, one list comprehension each."""
+    honest = [m for m in metrics if m.kind == HONEST]
+    counts, accepted = {}, {}
+    for kind in (HONEST, *KIND_ORDER):
+        of_kind = [m for m in metrics if m.kind == kind]
+        counts[kind] = len(of_kind)
+        accepted[kind] = sum(m.accepted for m in of_kind)
+    adversarial_count = sum(counts[kind] for kind in KIND_ORDER)
+    adversarial_accepted = sum(accepted[kind] for kind in KIND_ORDER)
+    latencies = [m.auth_latency_ms for m in metrics]
+    key_times = [m.key_establish_ms for m in metrics if m.key_establish_ms is not None]
+    all_ops = [ops for m in metrics for ops in (m.ops_p, m.ops_d)]
+    op_totals = {op: sum(getattr(ops, op) for ops in all_ops) for op in OP_NAMES}
+    return {
+        "sessions": len(metrics),
+        "honest_count": len(honest),
+        "adversarial_count": adversarial_count,
+        "kind_counts": counts,
+        "kind_accepted": accepted,
+        "honest_accept_rate": accepted[HONEST] / len(honest) if honest else None,
+        "key_agreement_rate": sum(bool(m.key_agreement) for m in honest) / len(honest) if honest else None,
+        "far": adversarial_accepted / adversarial_count if adversarial_count else None,
+        "far_by_kind": {kind: accepted[kind] / counts[kind] if counts[kind] else None for kind in KIND_ORDER},
+        "mean_auth_latency_ms": sum(latencies) / len(latencies) if latencies else None,
+        "p95_auth_latency_ms": simulator._p95(latencies),
+        "mean_key_establish_ms": sum(key_times) / len(key_times) if key_times else None,
+        "op_totals": op_totals,
+        "energy_proxy": energy_proxy(op_totals, weights),
+    }
+
+
 class TestReportSerialization:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_rows, max_size=4))
     def test_json_writer_matches_indented_dumps(self, rows):
         report = CampaignReport(toy_config(), rows, compute_aggregates(rows, DEFAULT_ENERGY_WEIGHTS))
         assert report.to_json() == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_rows, max_size=6))
+    def test_csv_writer_matches_csv_module(self, rows):
+        report = CampaignReport(toy_config(), rows, {})
+        assert report.to_csv() == _csv_module_report(report)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_rows, max_size=12))
+    def test_aggregates_match_reference(self, rows):
+        # as JSON text, so each float sum must match bit for bit and an int must stay an int
+        got = compute_aggregates(rows, DEFAULT_ENERGY_WEIGHTS)
+        want = _reference_aggregates(rows, DEFAULT_ENERGY_WEIGHTS)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert list(got) == list(want) and list(got["kind_counts"]) == list(want["kind_counts"])
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ({"auth_latency_ms": "x"}, "auth_latency_ms has the wrong type"),
+            ({"auth_latency_ms": "x", "kind": "bogus"}, "auth_latency_ms has the wrong type"),
+            ({"detail": None}, "detail has the wrong type"),
+            ({"kind": "bogus"}, "kind 'bogus' is not a session kind"),
+            ({"auth_latency_ms": -1.0}, "an op count is not an integer"),
+            ({}, "an op count is not an integer"),
+        ],
+    )
+    def test_faulty_row_names_its_first_fault(self, edit, named):
+        # each row also holds a `true` op count: a field's type, then the kind,
+        # then the op counts' types, then the values are checked
+        row = SessionMetrics(0, HONEST, True, 1.0, 1.0, OpCounts(), OpCounts(), True).to_dict()
+        row.update(edit)
+        row["ops"]["d"]["hash"] = True
+        with pytest.raises(TypeError, match=f"^session 0: {named}"):
+            SessionMetrics.from_dict(row)
 
     def test_json_roundtrip_preserves_sessions(self):
         report = run_campaign(toy_config(sessions=25, adv_ratio=0.2))
