@@ -190,32 +190,22 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
         )
 
 
-def _parse_latency(value: str) -> tuple[float, float]:
-    parts = value.split(":")
+def _parse_latency(value: str) -> float | list[float]:
+    """--latency as a config's latency_range_ms: one number, or the list of its ':'-separated numbers."""
     try:
-        if len(parts) == 1:
-            ms = float(parts[0])
-            return (ms, ms)
-        if len(parts) == 2:
-            return (float(parts[0]), float(parts[1]))
+        parts = [float(part) for part in value.split(":")]
     except ValueError:
-        pass
-    raise click.UsageError(f"--latency expects 'low:high' or a single value, got {value!r}")
+        raise click.UsageError(f"--latency expects 'low:high' or a single value, got {value!r}") from None
+    return parts[0] if len(parts) == 1 else parts
 
 
 def _parse_mix(value: str) -> dict:
-    mix = {}
-    for item in value.split(","):
-        if not item:
-            continue
-        if "=" not in item:
-            raise click.UsageError(f"--mix expects kind=weight pairs, got {item!r}")
-        kind, _, weight = item.partition("=")
-        try:
-            mix[kind.strip()] = float(weight)
-        except ValueError:
-            raise click.UsageError(f"--mix weight must be numeric in {item!r}") from None
-    return mix
+    """--mix as a config's adversary_mix; an item without '=' has the weight '', which is no number."""
+    pairs = [item.partition("=") for item in value.split(",") if item]
+    try:
+        return {kind.strip(): float(weight) for kind, _, weight in pairs}
+    except ValueError:
+        raise click.UsageError(f"--mix expects kind=weight pairs with numeric weights, got {value!r}") from None
 
 
 @cli.command()
@@ -238,7 +228,7 @@ def simulate(config_path, sessions, adv_ratio, latency, seed, group_id, mix, out
     flags = {
         "sessions": sessions,
         "adv_ratio": adv_ratio,
-        "latency_range_ms": None if latency is None else list(_parse_latency(latency)),
+        "latency_range_ms": None if latency is None else _parse_latency(latency),
         "rng_seed": seed,
         "group_id": group_id,
         "adversary_mix": None if mix is None else _parse_mix(mix),
@@ -289,12 +279,12 @@ def _echo_summary(agg: dict) -> None:
 def report(in_path: Path, fmt: str) -> None:
     """Cross-check a report's stored aggregates and reprint it."""
     obj = _load_json(in_path, IntegrityFailure)
-    try:
+    try:  # ConfigError is a ValueError; an op count too large for a float overflows in the aggregates
         stored = CampaignReport.from_dict(obj)
         allocated = kind_counts(stored.config.sessions, stored.config.adv_ratio, stored.config.adversary_mix)
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        recomputed = compute_aggregates(stored.sessions, stored.config.energy_weights)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise IntegrityFailure(f"malformed report file: {exc}") from exc
-    recomputed = compute_aggregates(stored.sessions, stored.config.energy_weights)
     for metric, value in recomputed.items():  # as JSON text: a stored false is not a recomputed 0
         if metric not in stored.aggregates:
             raise IntegrityFailure(f"aggregate mismatch: {metric} missing from report")

@@ -18,6 +18,7 @@ import json
 import math
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -57,6 +58,9 @@ DEFAULT_ENERGY_WEIGHTS = {"group_exp": 10.0, "group_mul": 1.0, "hash": 1.0}
 
 _BINDING_TIME = 1_700_000_000  # fixed registration timestamp for campaigns
 _WARMUP_SESSIONS = 3
+_DELAYED = len(EXCHANGE) - 1  # the messages a session delays: all but the closing verdict
+_ULP_SLACK = 1e-9  # relative widening of a row's latency bounds: random.uniform may pass a bound by an ulp
+_MAX_TOTAL_DELAY = sys.float_info.max / 2  # half, so that no sum of a campaign's delays rounds to infinity
 _op_counts = attrgetter(*OP_NAMES)  # an OpCounts' values, in OP_NAMES order
 _op_items = itemgetter(*OP_NAMES)  # a report row's ops.p or ops.d values, in OP_NAMES order
 _OP_KEYS = frozenset(OP_NAMES)  # the keys of a report row's ops.p and ops.d
@@ -89,10 +93,10 @@ class ConfigError(ValueError):
 
 
 def _as_float(field_name: str, value) -> float:
-    """A config weight or latency bound; a bool or a non-number is a
-    ConfigError, not a silent 1.0 or a crash in float()."""
-    if type(value) not in (int, float):
-        raise ConfigError(field_name, f"{value!r} is not a number")
+    """A config weight or latency bound; a bool, a non-number or one beyond
+    the finite floats is a ConfigError, not a silent 1.0 or a crash in float()."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(field_name, f"{value!r} is not a finite number")
     return float(value)
 
 
@@ -120,23 +124,20 @@ class CampaignConfig:
         unknown = set(self.adversary_mix) - set(KIND_ORDER)
         if unknown:
             raise ConfigError("adversary_mix", f"unknown adversary kinds: {sorted(unknown)}")
-        if not all(math.isfinite(w) and w >= 0 for w in self.adversary_mix.values()):
-            raise ConfigError("adversary_mix", "weights must be finite and nonnegative")
+        if set(self.energy_weights) != set(DEFAULT_ENERGY_WEIGHTS):
+            raise ConfigError("energy_weights", f"must provide exactly {sorted(DEFAULT_ENERGY_WEIGHTS)}")
+        for name, weights in (("adversary_mix", self.adversary_mix), ("energy_weights", self.energy_weights)):
+            if not (all(w >= 0 for w in weights.values()) and math.isfinite(sum(weights.values()))):
+                raise ConfigError(name, "weights must be nonnegative, with a finite total")
         if self.adv_ratio > 0 and not any(self.adversary_mix.values()):
             raise ConfigError("adversary_mix", "needs a positive weight when adv_ratio > 0")
-        low, high = self.latency_range_ms
-        if not (math.isfinite(high) and 0 <= low <= high):
-            raise ConfigError("latency_range_ms", "requires finite 0 <= low <= high")
+        low, high = self.latency_range_ms  # the total as a Fraction: exact, however large sessions is
+        if not (0 <= low <= high < math.inf and Fraction(high) * _DELAYED * self.sessions <= _MAX_TOTAL_DELAY):
+            raise ConfigError("latency_range_ms", "requires 0 <= low <= high and 4 * high * sessions < float max / 2")
         try:
             get_group(self.group_id)
         except Exception:
             raise ConfigError("group_id", f"unknown group: {self.group_id!r}") from None
-        if set(self.energy_weights) != set(DEFAULT_ENERGY_WEIGHTS):
-            raise ConfigError(
-                "energy_weights", f"must provide exactly {sorted(DEFAULT_ENERGY_WEIGHTS)}"
-            )
-        if not all(math.isfinite(w) and w >= 0 for w in self.energy_weights.values()):
-            raise ConfigError("energy_weights", "weights must be finite and nonnegative")
         if type(self.rng_seed) is not int:
             raise ConfigError("rng_seed", "must be an integer")
 
@@ -270,17 +271,19 @@ class CampaignReport:
         rows = obj["sessions"]
         if not isinstance(rows, list):
             raise TypeError("sessions is not a list")
-        try:
-            sessions = [SessionMetrics.from_dict(row) for row in rows]
-        except (KeyError, TypeError):  # read the rows again, naming one without an index by its position
-            for position, row in enumerate(rows):
-                if not isinstance(row, dict) or "index" not in row:
-                    raise TypeError(f"row {position} " + ("lacks index" if isinstance(row, dict) else "is not an object"))
-                SessionMetrics.from_dict(row)
-            raise
+        low, high = config.latency_range_ms  # a session delays at most _DELAYED messages, an honest one all of them
+        floor, ceiling = _DELAYED * low * (1 - _ULP_SLACK), _DELAYED * high * (1 + _ULP_SLACK)
+        sessions = []
+        for position, row in enumerate(rows):
+            if not isinstance(row, dict) or "index" not in row:
+                raise TypeError(f"row {position} " + ("lacks index" if isinstance(row, dict) else "is not an object"))
+            m = SessionMetrics.from_dict(row)
+            if not (floor if m.kind == HONEST else 0) <= m.auth_latency_ms <= ceiling or (m.key_establish_ms or 0) > ceiling:
+                raise ValueError(f"session {m.index!r}: a latency lies outside what latency_range_ms allows")
+            sessions.append(m)
         if not isinstance(obj["aggregates"], dict):
             raise TypeError("aggregates is not an object")
-        if [m.index for m in sessions] != list(range(config.sessions)):
+        if len(sessions) != config.sessions or [m.index for m in sessions] != list(range(len(sessions))):
             raise ValueError(f"rows are not sessions 0..{config.sessions - 1} in index order")
         return cls(config, sessions, obj["aggregates"])
 
@@ -480,10 +483,12 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
 
 def energy_proxy(op_totals: Dict[str, int], weights: Dict[str, float]) -> float:
-    """Weighted operation count standing in for energy cost."""
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("energy weights must be nonnegative")
-    return float(sum(op_totals.get(op, 0) * w for op, w in weights.items()))
+    """Weighted operation count standing in for energy cost; a total that is
+    negative or not finite is a ConfigError naming energy_weights."""
+    total = float(sum(op_totals.get(op, 0) * w for op, w in weights.items()))
+    if not 0 <= total < math.inf:
+        raise ConfigError("energy_weights", "the weighted op total is negative or overflows")
+    return total
 
 
 def _p95(values: List[float]) -> Optional[float]:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import sys
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -426,6 +427,7 @@ class TestSimulate:
         [
             ("--latency", "nan:nan", "latency_range_ms"),
             ("--latency", "0:inf", "latency_range_ms"),
+            ("--latency", "0:1e308", "latency_range_ms"),  # each bound is finite, but four delays of high are not
             ("--mix", "replay=nan", "adversary_mix"),
             ("--config", "inf-energy.json", "energy_weights"),
         ],
@@ -439,6 +441,35 @@ class TestSimulate:
         assert field in err
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            # each weight is finite, but their total is not
+            ({"adv_ratio": 0.5, "adversary_mix": dict.fromkeys(KIND_ORDER, 1e308)}, "adversary_mix"),
+            # each delay and a session's four are finite, but the campaign's total delay is not
+            ({"latency_range_ms": [1e306, 1e306], "sessions": 100}, "latency_range_ms"),
+            # the weights are finite, but the weighted op total is not
+            ({"energy_weights": {"group_exp": 1e308, "group_mul": 1, "hash": 1}}, "energy_weights"),
+            # an integer beyond the floats
+            ({"latency_range_ms": [0, 10**400]}, "latency_range_ms"),
+            ({"energy_weights": {"group_exp": 10**400, "group_mul": 1, "hash": 1}}, "energy_weights"),
+        ],
+    )
+    def test_config_whose_sums_overflow_is_config_error(self, run, tmp_path, edit, field):
+        cfg = {"sessions": 10, "group_id": "toy", **edit}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code, out, err = run("simulate", "--config", "cfg.json")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: invalid config: {field}: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+        assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("value", ["1:2:3", "1:2:3:4"])
+    def test_latency_flag_of_more_than_two_bounds_is_config_error(self, run, tmp_path, value):
+        code, _, err = run("simulate", "--sessions", "5", "--group", "toy", "--latency", value)
+        assert code == 1 and err.startswith("error: invalid config: latency_range_ms: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "edit, field",
@@ -757,3 +788,134 @@ def test_fleet_shaped_report_passes(run, tmp_path):
     report = CampaignReport(config, rows, compute_aggregates(rows, config.energy_weights))
     (tmp_path / "fleet.json").write_text(report.to_json())
     assert run("report", "--in", "fleet.json", "--format", "json") == (0, report.to_json(), "")
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        ({"adversary_mix": dict.fromkeys(KIND_ORDER, 1e308)}, "adversary_mix"),
+        ({"latency_range_ms": [10.0, 1e308]}, "latency_range_ms"),
+        ({"energy_weights": {"group_exp": 1e308, "group_mul": 1.0, "hash": 1.0}}, "energy_weights"),
+    ],
+    ids=["mix_total", "latency_high", "weighted_op_total"],
+)
+def test_report_whose_config_sums_overflow_is_integrity_failure(run, report_text, tmp_path, edit, field):
+    obj = json.loads(report_text)
+    obj["config"].update(edit)
+    (tmp_path / "edited.json").write_text(json.dumps(obj))
+    code, out, err = run("report", "--in", "edited.json")
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: malformed report file: {field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda obj, row: row["ops"]["p"].update(hash=10**400), "malformed report file"),
+        (lambda obj, row: row.update(auth_latency_ms=10**400), "latency_range_ms"),
+        (lambda obj, row: row.update(key_establish_ms=10**400), "latency_range_ms"),
+        (lambda obj, row: obj["config"].update(sessions=10**30), "sessions 0.."),
+    ],
+    ids=["op_count", "auth_latency", "key_establish", "sessions"],
+)
+def test_report_value_past_the_floats_is_one_line_integrity_failure(run, report_text, tmp_path, edit, named):
+    # a JSON integer has no bound; a report holding one too large for a float fails like any malformed file
+    obj = json.loads(report_text)
+    edit(obj, next(row for row in obj["sessions"] if row["kind"] == "honest" and row["accepted"]))
+    (tmp_path / "edited.json").write_text(json.dumps(obj))
+    code, out, err = run("report", "--in", "edited.json")
+    assert (code, out) == (3, "") and named in err and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bound", ["low", "high"])
+def test_rows_outside_the_latency_range_are_integrity_failure(run, report_text, tmp_path, bound):
+    # an honest session delays exactly its four non-verdict messages, any session at most four
+    obj = json.loads(report_text)
+    rows, (low, high) = obj["sessions"], obj["config"]["latency_range_ms"]
+    honest = [row["auth_latency_ms"] for row in rows if row["kind"] == "honest"]
+    if bound == "high":  # the longest session now exceeds four high delays
+        high = max(row["auth_latency_ms"] for row in rows) / 4 * 0.99
+        outside = [row for row in rows if row["auth_latency_ms"] > 4 * high]
+    else:  # the shortest honest session now falls short of four low delays
+        low = min(honest) / 4 * 1.01
+        outside = [row for row in rows if row["kind"] == "honest" and row["auth_latency_ms"] < 4 * low]
+    assert low <= high and outside
+    obj["config"]["latency_range_ms"] = [low, high]
+    (tmp_path / "edited.json").write_text(json.dumps(obj))
+    code, out, err = run("report", "--in", "edited.json")
+    assert (code, out) == (3, "")
+    assert err == (f"error: malformed report file: session {outside[0]['index']}: "
+                   "a latency lies outside what latency_range_ms allows\n")
+
+
+@pytest.mark.parametrize(
+    "kind, latency, code",
+    [
+        ("honest", 80.0, 0),
+        ("honest", math.nextafter(80.0, math.inf), 0),  # random.uniform may pass high by an ulp
+        ("honest", 80.0 * (1 + 1e-8), 3),
+        ("honest", 40.0, 0),
+        ("honest", math.nextafter(40.0, 0.0), 0),
+        ("honest", 40.0 * (1 - 1e-8), 3),
+        ("replay", 0.0, 0),  # an attacked session may move fewer messages
+        ("replay", 80.0 * (1 + 1e-8), 3),
+    ],
+)
+def test_latency_range_bounds_each_row(run, tmp_path, kind, latency, code):
+    ops = OpCounts(4, 3, 2)
+    honest = kind == "honest"
+    row = SessionMetrics(0, kind, honest, latency, latency if honest else None, ops, ops, True if honest else None)
+    config = CampaignConfig(sessions=1, adv_ratio=0.0 if honest else 1.0, adversary_mix={kind: 1.0} if not honest
+                            else dict.fromkeys(KIND_ORDER, 1.0), latency_range_ms=(10.0, 20.0), group_id="toy")
+    report = CampaignReport(config, [row], compute_aggregates([row], config.energy_weights))
+    (tmp_path / "one.json").write_text(report.to_json())
+    assert run("report", "--in", "one.json")[0] == code
+
+
+def _nonnegative(small):
+    """Mostly small values, else zero, a huge but finite one, or any finite one."""
+    huge = st.sampled_from((1e300, 1e306, 1e307, 1e308, sys.float_info.max))
+    return st.one_of(small, small, small, st.just(0.0), huge, st.floats(0.0, sys.float_info.max))
+
+
+_weights = _nonnegative(st.floats(0.0, 100.0))
+_bounds = _nonnegative(st.floats(0.0, 50.0))
+
+
+@st.composite
+def _campaign_configs(draw):
+    """Campaign configs over both groups: edge ratios, zero and huge-but-finite weights and
+    latency bounds, equal bounds."""
+    group_id = draw(st.sampled_from(("toy", "p256")))
+    low, high = draw(_bounds), draw(_bounds)
+    return {
+        "sessions": draw(st.integers(1, 16 if group_id == "p256" else 40)),
+        "adv_ratio": draw(st.sampled_from((0.0, 1.0)) | st.floats(0.0, 1.0)),
+        "adversary_mix": {kind: draw(_weights) for kind in KIND_ORDER},
+        "latency_range_ms": [low, low] if draw(st.booleans()) else sorted([low, high]),
+        "group_id": group_id,
+        "rng_seed": draw(st.integers(0, 2**32)),
+        "energy_weights": {op: draw(_weights) for op in ("group_exp", "group_mul", "hash")},
+    }
+
+
+def _no_constant(name):
+    raise AssertionError(f"the report holds {name}, which is not JSON")
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_campaign_configs())
+def test_simulate_then_report_round_trips_or_fails_cleanly(run, tmp_path, config):
+    for stale in tmp_path.glob("prop.*"):
+        stale.unlink()
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    code, out, err = run("simulate", "--config", "cfg.json", "--out", "prop")
+    if code != 0:  # a clean failure: a config error on one line, and no file written
+        assert code == 1 and err.startswith("error: invalid config: ") and err.count("\n") == 1, (config, err)
+        assert not list(tmp_path.glob("prop.*"))
+        return
+    text, csv_text = (tmp_path / "prop.json").read_text(), (tmp_path / "prop.csv").read_text()
+    json.loads(text, parse_constant=_no_constant)
+    assert run("report", "--in", "prop.json")[0] == 0
+    assert run("report", "--in", "prop.json", "--format", "json") == (0, text, "")
+    assert run("report", "--in", "prop.json", "--format", "csv") == (0, csv_text, "")

@@ -226,6 +226,18 @@ class TestTwinSession:
         with pytest.raises(VerificationFailure):
             d3.verify_identity(IdentityProof(0, 4))
 
+    @pytest.mark.parametrize("env_name, share", [("toy_env", 5), ("p256_env", (1, 2))])
+    def test_non_member_share_with_the_true_identity_hash_is_rejected(self, env_name, share, request):
+        # h_sp passes the identity equation, so only R_p's membership check stands
+        # between the twin and a key derived from a point outside the group
+        env = request.getfixturevalue(env_name)
+        assert not env["group"].is_member(share)
+        p, d = make_entity(env), make_twin(env)
+        (challenge,) = p.receive(d.commit())
+        (proof,) = p.receive(d.receive(challenge)[0])
+        assert d.receive(IdentityProof(proof.h_sp, share)) == [Verdict(False, Reason.BAD_IDENTITY)]
+        assert d.phase is Phase.FAILED and d.session_key is None
+
     def test_binding_record_must_match_twin_key(self, toy_env):
         other = TwinKeyPair(4, toy_env["group"].exp(2, 4))
         with pytest.raises(BindingMismatch):
@@ -311,6 +323,19 @@ class TestEntitySession:
             EntitySession(toy_env["group"], toy_env["keys"], forged, random.Random(0))
         with pytest.raises(BindingMismatch):
             TwinSession(toy_env["group"], toy_env["twin"], forged, random.Random(0))
+
+    @pytest.mark.parametrize("env_name", ["toy_env", "p256_env"])
+    def test_record_moved_to_another_time_refused(self, env_name, request):
+        # the zeta is genuine, but it binds the keys at the record's old time
+        from przkbind.registration import BindingRecord
+
+        env = request.getfixturevalue(env_name)
+        rec = env["record"]
+        moved = BindingRecord(rec.pk_p, rec.pk_d, rec.t + 1, rec.zeta)
+        with pytest.raises(BindingMismatch):
+            EntitySession(env["group"], env["keys"], moved, random.Random(0))
+        with pytest.raises(BindingMismatch):
+            TwinSession(env["group"], env["twin"], moved, random.Random(0))
 
     @pytest.mark.parametrize("env_name", ["toy_env", "p256_env"])
     @pytest.mark.parametrize("field", ["pk_p", "pk_d"])
@@ -482,6 +507,23 @@ class TestStateMachineSafety:
         assert p.session_key is None
         assert p.failure is Reason.BAD_IDENTITY
 
+    @pytest.mark.parametrize("env_name", ["toy_env", "p256_env"])
+    def test_twin_rejecting_a_tampered_identity_proof_fails_the_keyed_entity(self, env_name, request):
+        # the entity holds its key before the twin checks the identity proof; the twin's
+        # reject verdict must take that key away
+        env = request.getfixturevalue(env_name)
+        p, d = make_entity(env), make_twin(env)
+
+        def hop(recipient, msg):
+            if isinstance(msg, IdentityProof):
+                assert p.phase is Phase.KEY_ESTABLISHED
+                msg = IdentityProof((msg.h_sp + 1) % env["group"].q, msg.r_p_pub)
+            return recipient.receive(msg)
+
+        assert pump(p, d, hop) == ["commit", "challenge", "response", "identity_proof", "verdict"]
+        assert d.phase is Phase.FAILED and d.failure is Reason.BAD_IDENTITY
+        assert p.phase is Phase.FAILED and p.failure is Reason.BAD_IDENTITY and p.session_key is None
+
     def test_pump_alternates_parties_and_stops_on_silence(self, toy_env):
         p, d = make_entity(toy_env), make_twin(toy_env)
         seen = []
@@ -569,6 +611,7 @@ REJECTIONS = {
     "degenerate commitment": (
         lambda env: (make_entity(env), Commit(env["group"].identity)), "challenge", Reason.DEGENERATE_COMMITMENT
     ),
+    "non-member commitment": (lambda env: (make_entity(env), Commit(5)), "challenge", Reason.DEGENERATE_COMMITMENT),
     "challenge out of range": (_committed_twin, "respond", Reason.OUT_OF_ORDER),
     "bad proof": (_challenged_entity, "verify_response", Reason.BAD_PROOF),
     "wrong identity hash": (_responded_twin(IdentityProof(8, 4)), "verify_identity", Reason.BAD_IDENTITY),
@@ -898,6 +941,13 @@ class TestFiatShamir:
     def test_non_member_commitment_rejected(self, env_name, alpha, request):
         env = request.getfixturevalue(env_name)
         assert fiat_shamir_verify(env["group"], env["twin"].pk_d, env["record"].zeta, alpha, 1) is False
+
+    def test_every_toy_non_member_commitment_rejected(self, toy_env):
+        # each residue outside the order-11 subgroup, and a value of another type, is a False, never an error
+        toy = toy_env["group"]
+        outside = [x for x in range(-1, 24) if not toy.is_member(x)] + [None, (1, 2), b"\x09"]
+        for alpha in outside:
+            assert fiat_shamir_verify(toy, toy_env["twin"].pk_d, toy_env["record"].zeta, alpha, 1) is False
 
 
 class TestExtraction:
