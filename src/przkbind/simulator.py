@@ -133,7 +133,7 @@ class CampaignConfig:
             raise ConfigError("adversary_mix", "needs a positive weight when adv_ratio > 0")
         low, high = self.latency_range_ms  # the total as a Fraction: exact, however large sessions is
         if not (0 <= low <= high < math.inf and Fraction(high) * _DELAYED * self.sessions <= _MAX_TOTAL_DELAY):
-            raise ConfigError("latency_range_ms", "requires 0 <= low <= high and 4 * high * sessions < float max / 2")
+            raise ConfigError("latency_range_ms", "requires 0 <= low <= high and 4 * high * sessions <= float max / 2")
         try:
             get_group(self.group_id)
         except Exception:
@@ -483,11 +483,11 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
 
 def energy_proxy(op_totals: Dict[str, int], weights: Dict[str, float]) -> float:
-    """Weighted operation count standing in for energy cost; a total that is
-    negative or not finite is a ConfigError naming energy_weights."""
+    """Weighted operation count standing in for energy cost; a negative weight
+    or a total that is not finite is a ConfigError naming energy_weights."""
     total = float(sum(op_totals.get(op, 0) * w for op, w in weights.items()))
-    if not 0 <= total < math.inf:
-        raise ConfigError("energy_weights", "the weighted op total is negative or overflows")
+    if any(w < 0 for w in weights.values()) or not total < math.inf:
+        raise ConfigError("energy_weights", "weights must be nonnegative, with a finite weighted op total")
     return total
 
 

@@ -8,8 +8,7 @@ its entry here; an entry is never removed to get a pass.
 
 Run from the repository root (pytest does not collect this file):
 
-    python tests/mutants.py           # every mutant
-    python tests/mutants.py 3 7       # mutants 3 and 7 (their positions in MUTANTS)
+    python tests/mutants.py
 """
 
 from __future__ import annotations
@@ -138,9 +137,8 @@ def _outcomes(src: Path, tests) -> dict:
     return outcomes
 
 
-def main(argv) -> int:
-    chosen = [int(arg) for arg in argv] or range(len(MUTANTS))
-    tests = sorted({test for index in chosen for test in MUTANTS[index][3]})
+def main() -> int:
+    tests = sorted({test for *_, killers in MUTANTS for test in killers})
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
@@ -150,8 +148,7 @@ def main(argv) -> int:
             print(f"error: unmutated, these named tests do not pass: {broken}")
             return 1
         survivors = 0
-        for index in chosen:
-            name, text, replacement, killers = MUTANTS[index]
+        for index, (name, text, replacement, killers) in enumerate(MUTANTS):
             if len(set(killers)) < 2:
                 print(f"error: mutant {index} names {len(set(killers))} tests; each needs at least 2")
                 return 1
@@ -169,9 +166,9 @@ def main(argv) -> int:
             survivors += bool(alive)
             print(f"mutant {index} ({name}: {text.strip()[:50]!r}): "
                   + (f"SURVIVED {alive}" if alive else f"killed by all {len(killers)} named tests"))
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -224,6 +224,8 @@ class TestEnergyProxy:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             energy_proxy({"group_exp": 1}, {"group_exp": -1})
+        with pytest.raises(ConfigError, match="energy_weights"):
+            energy_proxy({"group_exp": 0}, {"group_exp": -1})
 
 
 class TestCampaign:
