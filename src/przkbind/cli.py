@@ -177,10 +177,11 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
         transcript.note(msg)
         return recipient.receive(msg)
 
-    pump(p, d, hop)
+    labels = pump(p, d, hop)
     click.echo(f"P terminal phase: {p.phase.value}")
     click.echo(f"D terminal phase: {d.phase.value}")
-    click.echo(json.dumps(transcript.to_dict(group)))
+    # a session with no virtual clock: every message is at 0.0 ms
+    click.echo(json.dumps({**transcript.to_dict(group), "timestamps": [[label, 0.0] for label in labels]}))
     accepted = transcript.verdict is not None and transcript.verdict.accept
     if accepted and p.session_key and d.session_key and p.session_key.k_pd == d.session_key.k_pd:
         click.echo("session established: keys agree")
@@ -319,6 +320,9 @@ def main(argv=None) -> int:
         return 2
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
+        return 2
+    except MemoryError:
+        click.echo("error: out of memory", err=True)
         return 2
     except (ProtocolError, GroupError, RegistrationError, SimulationError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -266,7 +266,7 @@ def identity_check(group: Group, pk_p: Element, h_sp: int, ops: Optional[OpCount
 
 @dataclass
 class Transcript:
-    """The public view of one session: message values and timestamps.
+    """The public view of one session: the values of its messages.
 
     Holds only values an eavesdropper sees; never ephemeral secrets,
     secret keys, or the identity secret.
@@ -278,14 +278,12 @@ class Transcript:
     h_sp: Optional[int] = None
     r_p_pub: Optional[Element] = None
     verdict: Optional[Verdict] = None
-    timestamps: List[Tuple[str, float]] = field(default_factory=list)
 
     def note(self, msg: Message) -> None:
         if msg.label == "verdict":
             self.verdict = msg
         else:  # every other message's fields are transcript fields of the same name
             vars(self).update(vars(msg))
-        self.timestamps.append((msg.label, 0.0))
 
     def to_dict(self, group: Group) -> dict:
         def enc(x):
@@ -304,7 +302,6 @@ class Transcript:
             "h_sp": self.h_sp,
             "r_p_pub": enc(self.r_p_pub),
             "verdict": verdict,
-            "timestamps": [[label, ms] for label, ms in self.timestamps],
         }
 
 

@@ -20,7 +20,7 @@ import random
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from itertools import chain, product
@@ -104,35 +104,47 @@ class SimulationError(RuntimeError):
     """A session failed to reach a terminal state (implementation bug)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
+    """A campaign's inputs, checked and stored as reports list them when the config is made, so
+    keyword arguments, a config file and CLI flags that give the same values give the same config."""
+
     sessions: int
     adv_ratio: float = 0.0
-    adversary_mix: Dict[str, float] = field(
-        default_factory=lambda: {kind: 1.0 for kind in KIND_ORDER}
-    )
+    adversary_mix: Dict[str, float] = field(default_factory=lambda: dict.fromkeys(KIND_ORDER, 1.0))
     latency_range_ms: Tuple[float, float] = (10.0, 20.0)
     group_id: str = "p256"
     rng_seed: int = 0
     energy_weights: Dict[str, float] = field(default_factory=lambda: dict(DEFAULT_ENERGY_WEIGHTS))
 
-    def validate(self) -> None:
-        if type(self.sessions) is not int or self.sessions < 1:
-            raise ConfigError("sessions", "must be an integer >= 1")
+    def __post_init__(self) -> None:
+        bounds = self.latency_range_ms  # one number is both bounds
+        bounds = [bounds, bounds] if isinstance(bounds, (int, float)) else bounds
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+            raise ConfigError("latency_range_ms", "must be [low, high] or a single number")
+        low, high = (_as_float("latency_range_ms", v) for v in bounds)
+        weights = {}
+        for name, key in (("adversary_mix", "kind"), ("energy_weights", "op")):
+            if not isinstance(getattr(self, name), dict):
+                raise ConfigError(name, f"must be an object of {key} -> weight")
+            weights[name] = {k: _as_float(name, v) for k, v in getattr(self, name).items()}
+        mix, energy = weights.values()
+        if type(self.sessions) is not int or not 1 <= self.sessions <= sys.maxsize:
+            raise ConfigError("sessions", "must be an integer from 1 to sys.maxsize, as one list holds sessions 0..sessions - 1")
         if type(self.adv_ratio) not in (int, float) or not 0.0 <= self.adv_ratio <= 1.0:
             raise ConfigError("adv_ratio", "must lie in [0, 1]")
-        unknown = set(self.adversary_mix) - set(KIND_ORDER)
+        unknown = set(mix) - set(KIND_ORDER)
         if unknown:
             raise ConfigError("adversary_mix", f"unknown adversary kinds: {sorted(unknown)}")
-        if set(self.energy_weights) != set(DEFAULT_ENERGY_WEIGHTS):
+        if set(energy) != set(DEFAULT_ENERGY_WEIGHTS):
             raise ConfigError("energy_weights", f"must provide exactly {sorted(DEFAULT_ENERGY_WEIGHTS)}")
-        for name, weights in (("adversary_mix", self.adversary_mix), ("energy_weights", self.energy_weights)):
-            if not (all(w >= 0 for w in weights.values()) and math.isfinite(sum(weights.values()))):
+        for name, values in weights.items():
+            if not (all(w >= 0 for w in values.values()) and math.isfinite(sum(values.values()))):
                 raise ConfigError(name, "weights must be nonnegative, with a finite total")
-        if self.adv_ratio > 0 and not any(self.adversary_mix.values()):
+        if self.adv_ratio > 0 and not any(mix.values()):
             raise ConfigError("adversary_mix", "needs a positive weight when adv_ratio > 0")
-        low, high = self.latency_range_ms  # the total as a Fraction: exact, however large sessions is
-        if not (0 <= low <= high < math.inf and Fraction(high) * _DELAYED * self.sessions <= _MAX_TOTAL_DELAY):
+        # the total as a Fraction: exact, however large sessions is
+        if not (0 <= low <= high and Fraction(high) * _DELAYED * self.sessions <= _MAX_TOTAL_DELAY):
             raise ConfigError("latency_range_ms", "requires 0 <= low <= high and 4 * high * sessions <= float max / 2")
         try:
             get_group(self.group_id)
@@ -140,20 +152,15 @@ class CampaignConfig:
             raise ConfigError("group_id", f"unknown group: {self.group_id!r}") from None
         if type(self.rng_seed) is not int:
             raise ConfigError("rng_seed", "must be an integer")
+        vars(self).update(latency_range_ms=(low, high), adversary_mix={k: mix.get(k, 0.0) for k in KIND_ORDER},
+                          energy_weights=dict(sorted(energy.items())))  # a frozen dataclass's fields, set once
 
     def to_dict(self) -> dict:
-        return {
-            "sessions": self.sessions,
-            "adv_ratio": self.adv_ratio,
-            "adversary_mix": {k: self.adversary_mix.get(k, 0.0) for k in KIND_ORDER},
-            "latency_range_ms": list(self.latency_range_ms),
-            "group_id": self.group_id,
-            "rng_seed": self.rng_seed,
-            "energy_weights": {k: self.energy_weights[k] for k in sorted(self.energy_weights)},
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CampaignConfig":
+        """A parsed config file: a JSON object of known fields that holds sessions."""
         if not isinstance(obj, dict):
             raise ConfigError("config", "must be a JSON object")
         unknown = set(obj) - {f.name for f in fields(cls)}
@@ -161,22 +168,7 @@ class CampaignConfig:
             raise ConfigError(sorted(unknown)[0], "unknown config field")
         if "sessions" not in obj:
             raise ConfigError("sessions", "is required")
-        kwargs = {k: obj[k] for k in ("sessions", "adv_ratio", "group_id", "rng_seed") if k in obj}
-        if "latency_range_ms" in obj:
-            rng_ms = obj["latency_range_ms"]
-            if isinstance(rng_ms, (int, float)):
-                rng_ms = [rng_ms, rng_ms]
-            if not (isinstance(rng_ms, (list, tuple)) and len(rng_ms) == 2):
-                raise ConfigError("latency_range_ms", "must be [low, high] or a single number")
-            kwargs["latency_range_ms"] = tuple(_as_float("latency_range_ms", v) for v in rng_ms)
-        for name, key in (("adversary_mix", "kind"), ("energy_weights", "op")):
-            if name in obj:
-                if not isinstance(obj[name], dict):
-                    raise ConfigError(name, f"must be an object of {key} -> weight")
-                kwargs[name] = {k: _as_float(name, v) for k, v in obj[name].items()}
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
+        return cls(**obj)
 
 
 @dataclass(slots=True)
@@ -280,6 +272,8 @@ class CampaignReport:
             m = SessionMetrics.from_dict(row)
             if not (floor if m.kind == HONEST else 0) <= m.auth_latency_ms <= ceiling or (m.key_establish_ms or 0) > ceiling:
                 raise ValueError(f"session {m.index!r}: a latency lies outside what latency_range_ms allows")
+            if m.key_establish_ms not in (None, m.auth_latency_ms):  # an honest session times both on one clock
+                raise ValueError(f"session {m.index!r}: key_establish_ms is neither null nor auth_latency_ms")
             sessions.append(m)
         if not isinstance(obj["aggregates"], dict):
             raise TypeError("aggregates is not an object")
@@ -462,7 +456,6 @@ def run_session(
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run the full campaign; deterministic for a fixed config."""
-    config.validate()
     env = build_env(config)
     kinds = allocate_kinds(
         config.sessions, config.adv_ratio, config.adversary_mix, _spawn_rng(config.rng_seed, "alloc")

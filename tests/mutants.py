@@ -1,4 +1,5 @@
-"""Mutation gate: each security check of the session protocol has tests that fail without it.
+"""Mutation gate: each security check of the session protocol, and the config and report rules,
+has tests that fail without it.
 
 MUTANTS lists textual mutants as (file under src/przkbind, exact text, replacement, test ids).
 For each one, the runner copies src/ to a temporary directory, requires the text to occur there
@@ -23,6 +24,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 P = "tests/test_protocol.py"
+S = "tests/test_simulator.py"
+C = "tests/test_cli.py"
 SAFETY = f"{P}::TestStateMachineSafety"
 ONE_PATH = f"{P}::test_every_check_rejects_through_one_path"
 
@@ -113,6 +116,27 @@ MUTANTS = [
         "",
         [f"{P}::TestFiatShamir::test_non_member_commitment_rejected",
          f"{P}::TestFiatShamir::test_every_toy_non_member_commitment_rejected"],
+    ),
+    (
+        "simulator.py",  # a config keeps its integer bounds and weights: a report then depends on how it was made
+        "    return float(value)\n",
+        "    return value\n",
+        [f"{S}::TestConfig::test_made_in_the_form_reports_list_it",
+         f"{C}::test_keywords_file_and_flags_write_one_report"],
+    ),
+    (
+        "simulator.py",  # sessions has no upper bound: more rows than a list holds end in a traceback
+        "not 1 <= self.sessions <= sys.maxsize",
+        "not 1 <= self.sessions",
+        [f"{S}::TestConfig::test_sessions_bounded_by_the_largest_list",
+         f"{C}::TestSimulate::test_sessions_past_sys_maxsize_is_config_error"],
+    ),
+    (
+        "simulator.py",  # an honest row's key_establish_ms may differ from its auth_latency_ms
+        "            if m.key_establish_ms not in (None, m.auth_latency_ms):",
+        "            if False:",
+        [f"{S}::TestReportSerialization::test_honest_key_time_is_its_auth_latency",
+         f"{C}::TestReport::test_malformed_report_is_integrity_failure[honest_key_time_off_its_auth_latency]"],
     ),
 ]
 

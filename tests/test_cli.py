@@ -4,12 +4,13 @@ import math
 import os
 import stat
 import sys
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from przkbind import groups
+from przkbind import groups, simulator
 from przkbind.cli import main
 from przkbind.protocol import OpCounts
 from przkbind.registration import RegistryIOError, load_registry
@@ -17,6 +18,7 @@ from przkbind.simulator import (
     KIND_ORDER,
     CampaignConfig,
     CampaignReport,
+    ConfigError,
     SessionMetrics,
     compute_aggregates,
     run_campaign,
@@ -465,6 +467,25 @@ class TestSimulate:
         assert not (tmp_path / "report.json").exists()
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("sessions", [10**27, sys.maxsize + 1], ids=["10**27", "sys.maxsize+1"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_sessions_past_sys_maxsize_is_config_error(self, run, tmp_path, sessions, source):
+        # more rows than a list holds: refused when the config is made, before any list is
+        (tmp_path / "cfg.json").write_text(json.dumps({"sessions": sessions, "group_id": "toy"}))
+        args = ("--sessions", str(sessions), "--group", "toy") if source == "flag" else ("--config", "cfg.json")
+        code, out, err = run("simulate", *args)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid config: sessions: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("report.*"))
+
+    def test_out_of_memory_is_a_one_line_runtime_error(self, run, tmp_path, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(simulator, "allocate_kinds", exhausted)
+        assert run("simulate", "--sessions", "5", "--group", "toy") == (2, "", "error: out of memory\n")
+        assert not list(tmp_path.glob("report.*"))
+
     @pytest.mark.parametrize("value", ["1:2:3", "1:2:3:4"])
     def test_latency_flag_of_more_than_two_bounds_is_config_error(self, run, tmp_path, value):
         code, _, err = run("simulate", "--sessions", "5", "--group", "toy", "--latency", value)
@@ -681,6 +702,9 @@ class TestReport:
             # a sessions block that is not a list is named, not read as rows
             ({"sessions": "[{}]"}, ("sessions is not a list",)),
             ({"sessions": {"0": {"index": 0}}}, ("sessions is not a list",)),
+            # session 0's key time, within the range but not its auth_latency_ms: one clock times both
+            pytest.param(_Recomputed(key_establish_ms=40.0), ("session 0", "key_establish_ms", "auth_latency_ms"),
+                         id="honest_key_time_off_its_auth_latency"),
         ],
     )
     def test_malformed_report_is_integrity_failure(self, run, report_file, edit, names):
@@ -778,6 +802,20 @@ def test_config_that_allocates_other_kinds_is_integrity_failure(run, report_text
     code, out, err = run("report", "--in", "edited.json")
     assert (code, out) == (3, "")
     assert err.startswith("error: kind_counts differ from what the config allocates") and err.count("\n") == 1
+
+
+def test_keywords_file_and_flags_write_one_report(run, tmp_path):
+    # integer bounds and weights, a partial mix and unsorted energy weights are stored as reports list them
+    kwargs = dict(sessions=12, adv_ratio=0.5, adversary_mix={"replay": 1, "mitm_tamper": 2}, latency_range_ms=(10, 20),
+                  group_id="toy", rng_seed=3, energy_weights={"hash": 1, "group_mul": 1, "group_exp": 10})
+    library = run_campaign(CampaignConfig(**kwargs))
+    (tmp_path / "cfg.json").write_text(json.dumps(kwargs))
+    assert run("simulate", "--config", "cfg.json", "--out", "file")[0] == 0
+    assert run("simulate", "--sessions", "12", "--adv-ratio", "0.5", "--mix", "replay=1,mitm_tamper=2",
+               "--latency", "10:20", "--group", "toy", "--seed", "3", "--out", "flags")[0] == 0
+    for name in ("file", "flags"):
+        assert (tmp_path / f"{name}.json").read_text() == library.to_json()
+        assert (tmp_path / f"{name}.csv").read_text() == library.to_csv()
 
 
 def test_fleet_shaped_report_passes(run, tmp_path):
@@ -903,17 +941,40 @@ def _no_constant(name):
     raise AssertionError(f"the report holds {name}, which is not JSON")
 
 
+def _integral(config):
+    """A config's latency bounds and weights rounded up to integers, as a caller of the library may write them."""
+    def ceil(weights):
+        return {key: math.ceil(weight) for key, weight in weights.items()}
+
+    return {**config, "latency_range_ms": tuple(map(math.ceil, config["latency_range_ms"])),
+            "adversary_mix": ceil(config["adversary_mix"]), "energy_weights": ceil(config["energy_weights"])}
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(config=_campaign_configs())
-def test_simulate_then_report_round_trips_or_fails_cleanly(run, tmp_path, config):
+@given(config=_campaign_configs(), via_library=st.booleans())
+def test_simulate_then_report_round_trips_or_fails_cleanly(run, tmp_path, config, via_library):
+    # the report is written by simulate from a config file, or by run_campaign(...).to_json() and
+    # .to_csv() from keyword arguments with integer bounds and weights
     for stale in tmp_path.glob("prop.*"):
         stale.unlink()
-    (tmp_path / "cfg.json").write_text(json.dumps(config))
-    code, out, err = run("simulate", "--config", "cfg.json", "--out", "prop")
-    if code != 0:  # a clean failure: a config error on one line, and no file written
-        assert code == 1 and err.startswith("error: invalid config: ") and err.count("\n") == 1, (config, err)
-        assert not list(tmp_path.glob("prop.*"))
-        return
+    if via_library:
+        try:  # a clean failure: a config error, when the config is made or its weighted op total overflows
+            cfg = CampaignConfig(**_integral(config))
+            report = run_campaign(cfg)
+        except ConfigError:
+            return
+        assert CampaignConfig.from_dict(cfg.to_dict()) == cfg
+        with pytest.raises(FrozenInstanceError):
+            cfg.sessions = 1
+        (tmp_path / "prop.json").write_text(report.to_json())
+        (tmp_path / "prop.csv").write_text(report.to_csv())
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        code, out, err = run("simulate", "--config", "cfg.json", "--out", "prop")
+        if code != 0:  # a clean failure: a config error on one line, and no file written
+            assert code == 1 and err.startswith("error: invalid config: ") and err.count("\n") == 1, (config, err)
+            assert not list(tmp_path.glob("prop.*"))
+            return
     text, csv_text = (tmp_path / "prop.json").read_text(), (tmp_path / "prop.csv").read_text()
     json.loads(text, parse_constant=_no_constant)
     assert run("report", "--in", "prop.json")[0] == 0

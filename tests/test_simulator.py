@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -69,6 +70,24 @@ class TestConfig:
     def test_single_latency_number_means_fixed_delay(self):
         cfg = CampaignConfig.from_dict({"sessions": 2, "latency_range_ms": 15})
         assert cfg.latency_range_ms == (15.0, 15.0)
+
+    def test_made_in_the_form_reports_list_it(self):
+        # integer bounds and weights become floats, every kind is listed, the energy weights are sorted
+        cfg = CampaignConfig(sessions=1, adversary_mix={"mitm_tamper": 2}, latency_range_ms=[10, 20],
+                             group_id="toy", energy_weights={"hash": 1, "group_mul": 1, "group_exp": 10})
+        mix = {**dict.fromkeys(KIND_ORDER, 0.0), "mitm_tamper": 2.0}
+        assert json.dumps(cfg.to_dict()) == json.dumps({
+            "sessions": 1, "adv_ratio": 0.0, "adversary_mix": mix, "latency_range_ms": [10.0, 20.0],
+            "group_id": "toy", "rng_seed": 0, "energy_weights": DEFAULT_ENERGY_WEIGHTS,
+        })
+
+    def test_sessions_bounded_by_the_largest_list(self):
+        # made, not run: a config allocates nothing
+        assert CampaignConfig(sessions=sys.maxsize, group_id="toy").sessions == sys.maxsize
+        for sessions in (sys.maxsize + 1, 10**27):
+            with pytest.raises(ConfigError) as err:
+                CampaignConfig(sessions=sessions, group_id="toy")
+            assert err.value.field_name == "sessions"
 
 
 class TestAllocation:
@@ -405,6 +424,15 @@ class TestReportSerialization:
         row["ops"]["d"]["hash"] = True
         with pytest.raises(TypeError, match=f"^session 0: {named}"):
             SessionMetrics.from_dict(row)
+
+    def test_honest_key_time_is_its_auth_latency(self):
+        # an honest session times both on one clock; a row whose times differ is refused by its index
+        obj = run_campaign(toy_config(sessions=10, adv_ratio=0.0)).to_dict()
+        CampaignReport.from_dict(obj)
+        row = obj["sessions"][3]
+        row["key_establish_ms"] = row["auth_latency_ms"] - 5
+        with pytest.raises(ValueError, match="^session 3: key_establish_ms is neither null nor auth_latency_ms$"):
+            CampaignReport.from_dict(obj)
 
     def test_json_roundtrip_preserves_sessions(self):
         report = run_campaign(toy_config(sessions=25, adv_ratio=0.2))
