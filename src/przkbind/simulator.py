@@ -22,7 +22,6 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from functools import partial
 from itertools import chain, product
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -40,7 +39,6 @@ from .protocol import (
     EXCHANGE,
     OP_NAMES,
     EntitySession,
-    Message,
     OpCounts,
     Phase,
     Transcript,
@@ -64,7 +62,17 @@ _MAX_TOTAL_DELAY = sys.float_info.max / 2  # half, so that no sum of a campaign'
 _op_counts = attrgetter(*OP_NAMES)  # an OpCounts' values, in OP_NAMES order
 _op_items = itemgetter(*OP_NAMES)  # a report row's ops.p or ops.d values, in OP_NAMES order
 _OP_KEYS = frozenset(OP_NAMES)  # the keys of a report row's ops.p and ops.d
-_SESSION_KINDS = (HONEST, *KIND_ORDER)
+# Session kind -> (its attack, None for an honest session; the honest parties it runs: entity p, twin d).
+# The first row is honest, then KIND_ORDER. Each attack names its attack_* function in its body, so the
+# function this module holds when the session runs is the one called.
+_KINDS = {
+    HONEST: (None, "pd"),
+    AdversaryKind.REPLAY.value: (lambda env, rng, p: attack_replay(env.recorded, rng, p), "p"),
+    AdversaryKind.IMPERSONATE_TWIN.value: (lambda env, rng, p: attack_impersonate_twin(rng, p), "p"),
+    AdversaryKind.MITM_TAMPER.value: (lambda env, rng, p, d: attack_mitm_tamper(rng, p, d), "pd"),
+    AdversaryKind.KCI_IMPERSONATE_PHYSICAL.value: (lambda env, rng, d: attack_kci(rng, d), "d"),
+}
+_SESSION_KINDS = tuple(_KINDS)
 # A report row's flat fields, in the order it lists them, and the types each may hold; the one nested
 # entry, "ops", follows them and holds ints. _ROW_SHAPES holds each allowed tuple of a row's types.
 _ROW_TYPES = {
@@ -98,6 +106,19 @@ def _as_float(field_name: str, value) -> float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise ConfigError(field_name, f"{value!r} is not a finite number")
     return float(value)
+
+
+class _Frozen(dict):
+    """A made config's adversary_mix or energy_weights: a dict that refuses edits, as no rule checks
+    a config again; it pickles and copies as the plain dict it holds."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a CampaignConfig's mappings cannot be edited; make a new config")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 class SimulationError(RuntimeError):
@@ -152,8 +173,8 @@ class CampaignConfig:
             raise ConfigError("group_id", f"unknown group: {self.group_id!r}") from None
         if type(self.rng_seed) is not int:
             raise ConfigError("rng_seed", "must be an integer")
-        vars(self).update(latency_range_ms=(low, high), adversary_mix={k: mix.get(k, 0.0) for k in KIND_ORDER},
-                          energy_weights=dict(sorted(energy.items())))  # a frozen dataclass's fields, set once
+        vars(self).update(latency_range_ms=(low, high), adversary_mix=_Frozen((k, mix.get(k, 0.0)) for k in KIND_ORDER),
+                          energy_weights=_Frozen(sorted(energy.items())))  # a frozen dataclass's fields, set once
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -383,75 +404,35 @@ def allocate_kinds(sessions: int, adv_ratio: float, mix: Dict[str, float], rng: 
     return kinds
 
 
-def _delay(rng: random.Random, label: str, low: float, high: float) -> float:
-    """The latency injected on one message; the closing verdict has none."""
-    return 0.0 if label == "verdict" else rng.uniform(low, high)
-
-
-def _run_honest(env: CampaignEnv, rng: random.Random, low: float, high: float) -> dict:
-    p = EntitySession(env.group, env.entity_keys, env.record, rng)
-    d = TwinSession(env.group, env.twin, env.record, rng)
+def run_session(
+    config: CampaignConfig, kind: str, rng: random.Random, env: CampaignEnv, index: int = 0
+) -> SessionMetrics:
+    """Run one session of the given kind on the virtual clock. Each message but the closing verdict
+    is delayed: an honest session's as it travels, as both parties draw from rng, an attack's after it returns."""
+    if kind not in _KINDS:
+        raise SimulationError(f"unknown session kind: {kind!r}")
+    attack, parties = _KINDS[kind]
+    low, high = config.latency_range_ms
+    delay = lambda label: 0.0 if label == "verdict" else rng.uniform(low, high)
+    p = EntitySession(env.group, env.entity_keys, env.record, rng) if "p" in parties else None
+    d = TwinSession(env.group, env.twin, env.record, rng) if "d" in parties else None
+    if attack:  # the attacker's tally stands in for the party it plays
+        outcome = attack(env, rng, *(party for party in (p, d) if party))
+        return SessionMetrics(index, kind, outcome.verdict.accept, sum(map(delay, outcome.messages)), None,
+                              p.ops if p else outcome.ops, d.ops if d else outcome.ops, detail=outcome.detail)
     clock = 0.0
 
-    def hop(recipient, msg: Message) -> List[Message]:
+    def hop(recipient, msg):
         nonlocal clock
-        clock += _delay(rng, msg.label, low, high)
+        clock += delay(msg.label)
         return recipient.receive(msg)
 
     labels = tuple(pump(p, d, hop))
     if labels != EXCHANGE:
         raise SimulationError(f"honest session derailed: it moved {labels}, not {EXCHANGE}")
-
     established = p.phase is Phase.KEY_ESTABLISHED and d.phase is Phase.KEY_ESTABLISHED
     agree = established and p.session_key.k_pd == d.session_key.k_pd
-    return {
-        "accepted": established and agree,
-        "auth_latency_ms": clock,
-        "key_establish_ms": clock if established else None,
-        "ops_p": p.ops,
-        "ops_d": d.ops,
-        "key_agreement": agree,
-    }
-
-
-def _run_adversarial(
-    env: CampaignEnv, kind: str, rng: random.Random, low: float, high: float
-) -> dict:
-    # kind -> (attack, the sessions it attacks: entity P, twin D or both).
-    # Built per call, so an attack rebound on this module runs.
-    attacks = {
-        AdversaryKind.REPLAY.value: (partial(attack_replay, env.recorded), "p"),
-        AdversaryKind.IMPERSONATE_TWIN.value: (attack_impersonate_twin, "p"),
-        AdversaryKind.MITM_TAMPER.value: (attack_mitm_tamper, "pd"),
-        AdversaryKind.KCI_IMPERSONATE_PHYSICAL.value: (attack_kci, "d"),
-    }
-    if kind not in attacks:
-        raise SimulationError(f"unknown session kind: {kind!r}")
-    attack, sides = attacks[kind]
-    p = EntitySession(env.group, env.entity_keys, env.record, rng) if "p" in sides else None
-    d = TwinSession(env.group, env.twin, env.record, rng) if "d" in sides else None
-    outcome = attack(rng, *(session for session in (p, d) if session is not None))
-    clock = sum(_delay(rng, label, low, high) for label in outcome.messages)
-    return {  # the attacker's tally stands in for the party it plays
-        "accepted": outcome.verdict.accept,
-        "auth_latency_ms": clock,
-        "key_establish_ms": None,
-        "ops_p": p.ops if p else outcome.ops,
-        "ops_d": d.ops if d else outcome.ops,
-        "detail": outcome.detail,
-    }
-
-
-def run_session(
-    config: CampaignConfig, kind: str, rng: random.Random, env: CampaignEnv, index: int = 0
-) -> SessionMetrics:
-    """Run one session of the given kind on the virtual clock."""
-    low, high = config.latency_range_ms
-    if kind == HONEST:
-        result = _run_honest(env, rng, low, high)
-    else:
-        result = _run_adversarial(env, kind, rng, low, high)
-    return SessionMetrics(index=index, kind=kind, **result)
+    return SessionMetrics(index, kind, agree, clock, clock if established else None, p.ops, d.ops, agree)
 
 
 def run_campaign(config: CampaignConfig) -> CampaignReport:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from przkbind import protocol
 from przkbind.groups import get_group
 from przkbind.identity import TwinKeyPair, derive_entity_keys, provision_identity
 from przkbind.registration import Registry
@@ -43,6 +44,19 @@ def toy():
 @pytest.fixture(scope="session")
 def p256():
     return get_group("p256")
+
+
+@pytest.fixture
+def skewed_twin_keys(monkeypatch):
+    """Every twin that accepts an identity proof establishes a key its entity does not hold."""
+    verify = protocol.TwinSession.verify_identity
+
+    def skewed(self, proof):
+        verdict = verify(self, proof)
+        self.session_key = protocol.SessionKey(bytes(len(self.session_key.k_pd)))
+        return verdict
+
+    monkeypatch.setattr(protocol.TwinSession, "verify_identity", skewed)
 
 
 @pytest.fixture

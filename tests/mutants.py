@@ -138,6 +138,21 @@ MUTANTS = [
         [f"{S}::TestReportSerialization::test_honest_key_time_is_its_auth_latency",
          f"{C}::TestReport::test_malformed_report_is_integrity_failure[honest_key_time_off_its_auth_latency]"],
     ),
+    (
+        "simulator.py",  # an honest session counts as accepted when both parties are keyed, whatever their keys
+        "p.session_key.k_pd == d.session_key.k_pd",
+        "True",
+        [f"{S}::TestSessions::test_honest_row_when_keys_disagree",
+         f"{C}::test_campaign_with_disagreeing_keys_passes_report"],
+    ),
+    (
+        "simulator.py",  # a made config's mappings take edits again: a zeroed mix reaches run_campaign
+        "    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse\n",
+        "",
+        [f"{S}::TestConfig::test_mappings_refuse_edits[setitem]",
+         f"{S}::TestConfig::test_mappings_refuse_edits[update]",
+         f"{S}::TestConfig::test_zeroed_mix_refused_before_the_campaign_runs"],
+    ),
 ]
 
 

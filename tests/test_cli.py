@@ -818,6 +818,14 @@ def test_keywords_file_and_flags_write_one_report(run, tmp_path):
         assert (tmp_path / f"{name}.csv").read_text() == library.to_csv()
 
 
+def test_campaign_with_disagreeing_keys_passes_report(run, tmp_path, skewed_twin_keys):
+    # no honest session is accepted, and the report of such a campaign is still one that report reads
+    report = run_campaign(CampaignConfig(sessions=20, adv_ratio=0.2, group_id="toy", rng_seed=4))
+    assert report.aggregates["honest_accept_rate"] < 1 and report.aggregates["key_agreement_rate"] < 1
+    (tmp_path / "skewed.json").write_text(report.to_json())
+    assert run("report", "--in", "skewed.json", "--format", "json") == (0, report.to_json(), "")
+
+
 def test_fleet_shaped_report_passes(run, tmp_path):
     # the shape of perfbench's fleet log: adv_ratio 0, every row honest, one row per session
     ops = OpCounts(4, 3, 2)

@@ -1,6 +1,9 @@
+import copy
 import csv
 import io
 import json
+import operator
+import pickle
 import random
 import sys
 from collections import Counter
@@ -90,6 +93,39 @@ class TestConfig:
             assert err.value.field_name == "sessions"
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: operator.setitem(m, "replay", 0.0),
+        lambda m: operator.delitem(m, "hash"),
+        lambda m: operator.ior(m, {"hash": 0.0}),
+        lambda m: m.clear(),
+        lambda m: m.pop("hash"),
+        lambda m: m.popitem(),
+        lambda m: m.setdefault("joules", 1.0),
+        lambda m: m.update(hash=0.0),
+    ], ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"])
+    def test_mappings_refuse_edits(self, edit):
+        # no rule checks a made config again, so its mappings cannot change
+        cfg = toy_config()
+        for mapping in (cfg.adversary_mix, cfg.energy_weights):
+            before = dict(mapping)
+            with pytest.raises(TypeError, match="cannot be edited"):
+                edit(mapping)
+            assert mapping == before
+
+    def test_zeroed_mix_refused_before_the_campaign_runs(self):
+        cfg = CampaignConfig(sessions=10, adv_ratio=0.5, group_id="toy")
+        with pytest.raises(TypeError):
+            cfg.adversary_mix.update(dict.fromkeys(KIND_ORDER, 0.0))
+        assert run_campaign(cfg).aggregates["adversarial_count"] == 5
+
+    def test_pickle_and_deepcopy_give_an_equal_config(self):
+        cfg = toy_config(adversary_mix={"replay": 2})
+        for again in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert again == cfg and json.dumps(again.to_dict()) == json.dumps(cfg.to_dict())
+            with pytest.raises(TypeError):
+                again.energy_weights["hash"] = 0.0
+
+
 class TestAllocation:
     def test_exact_split_at_ten_percent(self):
         kinds = allocate_kinds(5000, 0.1, {k: 1.0 for k in KIND_ORDER}, random.Random(1))
@@ -156,6 +192,40 @@ class TestSessions:
         m = run_session(cfg, "replay", _spawn_rng(4, "z"), env)
         assert not m.accepted
         assert m.key_establish_ms is None
+
+    def test_honest_row_when_keys_disagree(self, skewed_twin_keys):
+        # both parties establish a key, but not the same one: the session is not accepted, and its
+        # key time is its latency, as key_establish_ms follows "both established", not "keys agree"
+        cfg = toy_config()
+        m = run_session(cfg, HONEST, _spawn_rng(6, "skew"), build_env(cfg))
+        assert (m.accepted, m.key_agreement) == (False, False)
+        assert m.key_establish_ms == m.auth_latency_ms > 0
+
+    def test_unknown_kind_is_named(self):
+        cfg = toy_config()
+        with pytest.raises(simulator.SimulationError, match="'eavesdrop'"):
+            run_session(cfg, "eavesdrop", _spawn_rng(0, "x"), build_env(cfg))
+
+    @pytest.mark.parametrize("name, kind", [
+        ("attack_replay", "replay"),
+        ("attack_impersonate_twin", "impersonate_twin"),
+        ("attack_mitm_tamper", "mitm_tamper"),
+        ("attack_kci", "kci_impersonate_physical"),
+    ])
+    def test_attack_looked_up_when_the_session_runs(self, monkeypatch, name, kind):
+        # a traced run rebinds the attack_* names on this module after import; the rebound one must run
+        cfg = toy_config()
+        env = build_env(cfg)
+        calls = []
+
+        def wrapper(*args):
+            calls.append(name)
+            return attack(*args)
+
+        attack = getattr(simulator, name)
+        monkeypatch.setattr(simulator, name, wrapper)
+        m = run_session(cfg, kind, _spawn_rng(2, kind), env)
+        assert calls == [name] and m.kind == kind
 
     def test_op_counts_and_energy_proxy_for_honest_session(self):
         cfg = toy_config(latency_range_ms=(0.0, 0.0))
