@@ -3,13 +3,14 @@
 Two interchangeable groups sit behind one interface: a tiny order-11
 subgroup of the multiplicative group mod 23, whose discrete logs are
 enumerable (used by exhaustive tests and oracles), and the NIST P-256
-curve for production-strength runs. Elements are plain values -- an int
-residue for the toy group, an affine ``(x, y)`` tuple or ``None`` (the
-point at infinity) for the curve -- and all structure lives in the group
-objects. P-256 scalar multiplication, point addition and point decoding
-are calls into OpenSSL's libcrypto, which also makes the curve check of
-their operands (see ``P256Group``); ``exp`` is the one way to exponentiate
-on every path.
+curve for production-strength runs. A toy element is an int residue. A
+curve element is a ``P256Point``, which keeps the point inside OpenSSL's
+libcrypto between operations and equals its affine ``(x, y)``, or ``None``
+(the point at infinity); ``(x, y)`` tuples are taken as operands too. All
+structure lives in the group objects. P-256 scalar multiplication, point
+addition, comparison and decoding are calls into libcrypto, which also
+makes the curve check of their operands (see ``P256Group``); ``exp`` is
+the one way to exponentiate on every path.
 
 Canonical encodings (these bytes are the hash inputs and the wire format):
 
@@ -29,7 +30,7 @@ import struct
 import threading
 from typing import Iterable, Tuple, Union
 
-Element = Union[int, Tuple[int, int], None]
+Element = Union[int, Tuple[int, int], "P256Point", None]
 
 _H1_TAG = b"\x01"
 _H2_TAG = b"\x02"
@@ -150,7 +151,8 @@ _GY = 0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5
 _N = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 
 # OpenSSL's libcrypto, which CPython's hashlib has already loaded, does the
-# P-256 scalar multiplications, additions and decodes. Tried in this order.
+# P-256 scalar multiplications, additions, comparisons and decodes. Tried in
+# this order.
 _LIBCRYPTO = ("libcrypto.so.3", "libcrypto.so.1.1")
 _NID_P256 = 415  # NID_X9_62_prime256v1
 _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED: 0x04 || x || y, 65 bytes
@@ -159,7 +161,8 @@ _UNCOMPRESSED = 4  # POINT_CONVERSION_UNCOMPRESSED: 0x04 || x || y, 65 bytes
 # made by the first P-256 operation under _LOCK and never freed. ctypes
 # releases the GIL during foreign calls, so an operation holds _LOCK for as
 # long as it uses the working objects: one BN_CTX, the scalar BIGNUM, two
-# input points, the result point and the 65-byte output buffer.
+# operand points and the 65-byte output buffer. Results are new points,
+# each owned by its P256Point.
 _CURVE = None
 _LOCK = threading.Lock()
 
@@ -185,10 +188,13 @@ def _curve():
         "BN_bin2bn": (ptr, [buf, int_, ptr]),
         "BN_clear": (None, [ptr]),
         "EC_POINT_new": (ptr, [ptr]),
+        "EC_POINT_free": (None, [ptr]),
         "EC_POINT_oct2point": (int_, [ptr, ptr, buf, size, ptr]),
         "EC_POINT_point2oct": (size, [ptr, ptr, int_, buf, size, ptr]),
         "EC_POINT_mul": (int_, [ptr, ptr, ptr, ptr, ptr, ptr]),
         "EC_POINT_add": (int_, [ptr, ptr, ptr, ptr, ptr]),
+        "EC_POINT_cmp": (int_, [ptr, ptr, ptr, ptr]),
+        "EC_POINT_is_at_infinity": (int_, [ptr, ptr]),
         "ERR_clear_error": (None, []),
     }
     for name in _LIBCRYPTO:
@@ -200,11 +206,67 @@ def _curve():
             func = getattr(lib, fn)
             func.restype, func.argtypes = restype, argtypes
         group = _ok(lib.EC_GROUP_new_by_curve_name(_NID_P256))
-        points = (_ok(lib.EC_POINT_new(group)) for _ in range(3))
+        points = (_ok(lib.EC_POINT_new(group)) for _ in range(2))
         scratch = _ok(lib.BN_CTX_new()), _ok(lib.BN_new()), *points, ctypes.create_string_buffer(65)
         _CURVE = lib, group, scratch
         return _CURVE
     raise GroupError(f"P-256 needs OpenSSL's libcrypto, but none of {', '.join(_LIBCRYPTO)} loads")
+
+
+class P256Point:
+    """A P-256 point other than infinity, held in libcrypto as the EC_POINT it
+    owns; only ``_openssl`` makes one, so it is on the curve.
+
+    It equals, hashes like and unpacks as its affine ``(x, y)``. Those come
+    from one ``EC_POINT_point2oct`` (a field inversion), made at most once and
+    only when coordinates, an encoding or a hash are asked for. Two points
+    compare with ``EC_POINT_cmp``, which needs no inversion. The EC_POINT is
+    freed when the object goes, through the libcrypto that made it (held here,
+    as module globals may already be gone at exit).
+    """
+
+    __slots__ = ("_ptr", "_free", "_octets")
+
+    def __init__(self, lib, ptr):
+        self._ptr, self._free, self._octets = ptr, lib.EC_POINT_free, None
+
+    def __del__(self):
+        self._free(self._ptr)  # takes no lock: it may run inside an operation that holds _LOCK
+
+    def _uncompressed(self) -> bytes:
+        """04 || x || y, the point's 65-byte SEC 1 encoding."""
+        if self._octets is None:
+            with _LOCK:
+                lib, group, (ctx, *_, out) = _curve()
+                _ok(lib.EC_POINT_point2oct(group, self._ptr, _UNCOMPRESSED, out, 65, ctx))
+                self._octets = out.raw
+        return self._octets
+
+    def _xy(self) -> Tuple[int, int]:
+        octets = self._uncompressed()
+        return int.from_bytes(octets[1:33], "big"), int.from_bytes(octets[33:], "big")
+
+    def __eq__(self, other):
+        if type(other) is P256Point:
+            with _LOCK:
+                lib, group, (ctx, *_) = _curve()
+                return lib.EC_POINT_cmp(group, self._ptr, other._ptr, ctx) == 0
+        return other is not None and self._xy() == other
+
+    def __hash__(self):
+        return hash(self._xy())
+
+    def __iter__(self):
+        return iter(self._xy())
+
+    def __getitem__(self, index):
+        return self._xy()[index]
+
+    def __repr__(self):
+        return f"P256Point{self._xy()}"
+
+    def __reduce__(self):  # rebuilt through the oct2point check, as a tuple would be
+        return _openssl, (None, (self._xy(), self._uncompressed()))
 
 
 def _is_pair(x) -> bool:
@@ -213,9 +275,12 @@ def _is_pair(x) -> bool:
 
 
 def _operand(point):
-    """An element as ``_openssl`` takes it: itself, for errors to name, and its
-    SEC 1 encoding, 00 for None (infinity) and 04 || x || y for a tuple of two
-    ints below 2^256. Anything else, bytes included, raises GroupError."""
+    """An element as ``_openssl`` takes it: a P256Point as itself; else the
+    element, for errors to name, and its SEC 1 encoding, 00 for None
+    (infinity) and 04 || x || y for a tuple of two ints below 2^256. Anything
+    else, bytes included, raises GroupError."""
+    if type(point) is P256Point:
+        return point
     if point is None:
         return point, b"\x00"
     try:
@@ -226,47 +291,60 @@ def _operand(point):
     raise GroupError(f"not a curve point: {point!r}")
 
 
+def _ec_point(lib, group, ctx, operand, slot):
+    """The EC_POINT of an ``_operand``: a P256Point's own, or ``slot`` with the
+    encoding parsed into it by ``EC_POINT_oct2point``, the one range and curve
+    check, whose refusal raises GroupError."""
+    if type(operand) is P256Point:
+        return operand._ptr
+    shown, data = operand
+    if not lib.EC_POINT_oct2point(group, slot, data, len(data), ctx):
+        lib.ERR_clear_error()  # a bad prefix, a coordinate of p or more, a point off the curve
+        raise GroupError(f"not a curve point: {shown}")
+    return slot
+
+
 def _openssl(k, *operands):
-    """One libcrypto operation on ``_operand`` pairs: k * G with none, k * P
+    """One libcrypto operation on ``_operand`` values: k * G with none, k * P
     with one, P1 + P2 for k None, and a decode, the point itself, for k None
-    with one. Returns the affine result, None at infinity. An encoding that
-    ``EC_POINT_oct2point``, the one range and curve check, refuses raises GroupError."""
+    with one. Returns a new P256Point, None at infinity."""
     with _LOCK:
-        lib, group, (ctx, scalar, first, second, result, out) = _curve()
-        for (shown, data), slot in zip(operands, (first, second)):
-            if not lib.EC_POINT_oct2point(group, slot, data, len(data), ctx):
-                lib.ERR_clear_error()  # a bad prefix, a coordinate of p or more, a point off the curve
-                raise GroupError(f"not a curve point: {shown}")
-        if k is not None:
+        lib, group, (ctx, scalar, first, second, _) = _curve()
+        result = P256Point(lib, _ok(lib.EC_POINT_new(group)))  # its EC_POINT goes with it, on every path
+        r = result._ptr
+        if k is None and len(operands) == 1:  # a decode, parsed straight into the result
+            _ec_point(lib, group, ctx, operands[0], r)
+            return result
+        a = _ec_point(lib, group, ctx, operands[0], first) if operands else None
+        if k is None:
+            _ok(lib.EC_POINT_add(group, r, a, _ec_point(lib, group, ctx, operands[1], second), ctx))
+        else:
             # The scalar may be a secret key. EC_POINT_mul gets no BN_CTX, so it
             # makes its own and wipes every temporary when it frees it.
             try:
                 _ok(lib.BN_bin2bn(k.to_bytes(32, "big"), 32, scalar))
                 n, m = (None, scalar) if operands else (scalar, None)  # n: OpenSSL's own generator table
-                _ok(lib.EC_POINT_mul(group, result, n, first, m, None))
+                _ok(lib.EC_POINT_mul(group, r, n, a, m, None))
             finally:
                 lib.BN_clear(scalar)
-        elif len(operands) == 2:
-            _ok(lib.EC_POINT_add(group, result, first, second, ctx))
-        else:  # a decode
-            result = first
-        if _ok(lib.EC_POINT_point2oct(group, result, _UNCOMPRESSED, out, 65, ctx)) == 1:
-            return None  # the one-byte encoding of infinity
-        raw = out.raw
-    return int.from_bytes(raw[1:33], "big"), int.from_bytes(raw[33:], "big")
+        return None if lib.EC_POINT_is_at_infinity(group, r) else result
 
 
 class P256Group(_ScalarCodec):
     """NIST P-256: prime-order elliptic-curve group at the 128-bit level.
 
-    ``exp``, ``mul`` and ``decode`` are one libcrypto call each:
-    ``EC_POINT_mul`` with OpenSSL's generator table for ``g`` and on the point
-    for every other base, ``EC_POINT_add``, and ``EC_POINT_oct2point`` on the
-    compressed encoding. Operands cross as SEC 1 encodings (infinity as 00),
-    and oct2point is the one range and curve check of each, so ``exp`` and
+    Elements are P256Points, which live in libcrypto between operations, or
+    None for infinity; an affine ``(x, y)`` tuple of ints is also taken as an
+    operand (``g`` is one). ``exp``, ``mul`` and ``decode`` are one libcrypto
+    call each and return a new P256Point: ``EC_POINT_mul`` with OpenSSL's
+    generator table for ``g`` and on the point for every other base,
+    ``EC_POINT_add``, and ``EC_POINT_oct2point`` on the compressed encoding.
+    A tuple operand crosses as its SEC 1 encoding (infinity as 00), and
+    oct2point is the one range and curve check of each, so ``exp`` and
     ``mul`` reject exactly what ``is_member`` rejects. Every operation reuses
     one set of OpenSSL working objects under a lock. ``is_member`` and
-    ``encode`` are Python; the group object holds no per-base state.
+    ``encode`` are Python, and take a P256Point as a member with no curve
+    check, as libcrypto made it; the group object holds no per-base state.
     """
 
     group_id = "p256"
@@ -279,7 +357,7 @@ class P256Group(_ScalarCodec):
     _IDENTITY_ENC = b"\x00" * 33
 
     def is_member(self, x: Element) -> bool:
-        if x is None:
+        if x is None or type(x) is P256Point:  # libcrypto made the point
             return True
         if not _is_pair(x):
             return False
@@ -301,9 +379,8 @@ class P256Group(_ScalarCodec):
             raise GroupError(f"cannot encode non-member: {x!r}")
         if x is None:
             return self._IDENTITY_ENC
-        px, py = x
-        prefix = 0x03 if py & 1 else 0x02
-        return bytes([prefix]) + px.to_bytes(32, "big")
+        octets = x._uncompressed() if type(x) is P256Point else _operand(x)[1]  # 04 || x || y
+        return (b"\x03" if octets[64] & 1 else b"\x02") + octets[1:33]
 
     def decode(self, data: bytes) -> Element:
         if len(data) != self.element_size:

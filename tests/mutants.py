@@ -1,5 +1,5 @@
-"""Mutation gate: each security check of the session protocol, and the config and report rules,
-has tests that fail without it.
+"""Mutation gate: each security check of the session protocol, the config and report rules, and the
+P-256 point's equality and finaliser, has tests that fail without it.
 
 MUTANTS lists textual mutants as (file under src/przkbind, exact text, replacement, test ids).
 For each one, the runner copies src/ to a temporary directory, requires the text to occur there
@@ -26,6 +26,8 @@ ROOT = Path(__file__).resolve().parent.parent
 P = "tests/test_protocol.py"
 S = "tests/test_simulator.py"
 C = "tests/test_cli.py"
+G = "tests/test_groups.py"
+A = "tests/test_adversary.py"
 SAFETY = f"{P}::TestStateMachineSafety"
 ONE_PATH = f"{P}::test_every_check_rejects_through_one_path"
 
@@ -152,6 +154,21 @@ MUTANTS = [
         [f"{S}::TestConfig::test_mappings_refuse_edits[setitem]",
          f"{S}::TestConfig::test_mappings_refuse_edits[update]",
          f"{S}::TestConfig::test_zeroed_mix_refused_before_the_campaign_runs"],
+    ),
+    (
+        "groups.py",  # two P-256 points are equal whatever EC_POINT_cmp says: every Schnorr and identity equation holds
+        "lib.EC_POINT_cmp(group, self._ptr, other._ptr, ctx) == 0",
+        "lib.EC_POINT_cmp(group, self._ptr, other._ptr, ctx) is not None",
+        [f"{A}::TestImpersonateTwin::test_production_impersonation_never_accepted",
+         f"{A}::TestKci::test_production_kci_never_accepted",
+         f"{G}::TestP256::test_points_compare_through_libcrypto"],
+    ),
+    (
+        "groups.py",  # a dropped P-256 point keeps its EC_POINT: every exp, mul and decode leaks one
+        "        self._free(self._ptr)",
+        "        pass",
+        [f"{G}::TestP256::test_repeated_operations_do_not_grow_memory",
+         f"{G}::TestP256::test_honest_session_work_count"],
     ),
 ]
 

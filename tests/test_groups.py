@@ -1,5 +1,8 @@
+import copy
+import gc
 import hashlib
 import os
+import pickle
 import random
 import struct
 import subprocess
@@ -276,8 +279,10 @@ class TestP256:
         """One honest session makes 7 libcrypto multiplies (4 of them on
         OpenSSL's generator table) and 2 additions: one per group.exp and
         group.mul, with no curve arithmetic anywhere else; a decode makes
-        neither. No operation allocates an OpenSSL object: each reuses the
-        working objects that ``_curve`` made once."""
+        neither. No operation makes a BN_CTX or a BIGNUM: each reuses the
+        working objects that ``_curve`` made once. Each exp, mul and decode
+        result is one new EC_POINT, and each is freed once its point is
+        dropped."""
         config = CampaignConfig(sessions=1, group_id="p256", rng_seed=5)
         env = build_env(config)
         lib, *curve = groups._curve()
@@ -300,18 +305,21 @@ class TestP256:
                     counts["BN_new"] += 1
                 return lib.BN_bin2bn(data, size, ret)
 
-        for name in ("BN_CTX_new", "BN_new", "EC_POINT_new"):
-            def allocate(*args, name=name):
+        for name in ("BN_CTX_new", "BN_new", "EC_POINT_new", "EC_POINT_free"):
+            def call(*args, name=name):
                 counts[name] += 1
                 return getattr(lib, name)(*args)
-            setattr(Counted, name, staticmethod(allocate))
+            setattr(Counted, name, staticmethod(call))
 
         monkeypatch.setattr(groups, "_curve", lambda: (Counted(), *curve))
         assert run_session(config, HONEST, _spawn_rng(5, "session/0"), env).accepted
         p256 = get_group("p256")
-        for point in (p256.g, env.record.pk_d, env.record.pk_p):
-            assert p256.decode(p256.encode(point)) == point
-        assert counts == {"generator mul": 4, "point mul": 3, "add": 2}
+        decoded = [p256.decode(p256.encode(point)) for point in (p256.g, env.record.pk_d, env.record.pk_p)]
+        assert decoded == [p256.g, env.record.pk_d, env.record.pk_p]
+        del decoded
+        gc.collect()  # the session's parties and their points are dropped by now
+        assert counts == {"generator mul": 4, "point mul": 3, "add": 2,
+                          "EC_POINT_new": 9 + 3, "EC_POINT_free": 9 + 3}
 
     def test_wire_points_leave_no_per_base_state(self, p256):
         rng = random.Random(5)
@@ -322,7 +330,7 @@ class TestP256:
             point = p256.decode(data)
             for _ in range(2):  # a repeated base leaves no state either
                 p256.exp(point, rng.randrange(1, p256.q))
-            assert type(point) is tuple
+            assert type(point) is groups.P256Point
         assert vars(p256) == state == {}
 
     def test_threads_share_the_curve_safely(self, p256):
@@ -385,6 +393,29 @@ print(peak_kib() - before)
         proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=300, check=True)
         assert int(proc.stdout) < 256  # KiB
+
+    def test_point_is_its_affine_pair(self, p256):
+        point = p256.exp(p256.g, 0xC0FFEE)
+        pair = _naive_mult(p256.g, 0xC0FFEE)
+        assert type(point) is groups.P256Point
+        assert point == pair and pair == point and not point != pair
+        assert hash(point) == hash(pair) and {pair: 1}[point] == 1
+        x, y = point
+        assert (x, y) == (point[0], point[1]) == tuple(point) == pair
+        assert point != (x, y + 1) and point != [x, y] and point != p256.g
+        assert point != None  # noqa: E711 -- the protocol compares with the identity, which is None
+
+    def test_points_compare_through_libcrypto(self, p256):
+        a, b = p256.exp(p256.g, 3), p256.mul(p256.exp(p256.g, 1), p256.exp(p256.g, 2))
+        assert a == b and not a != b
+        assert a != p256.exp(p256.g, 4)
+        assert p256.mul(a, p256.exp(a, p256.q - 1)) is None  # a + (-a)
+
+    def test_point_survives_pickle_and_deepcopy(self, p256):
+        point = p256.exp(p256.g, 12345)
+        for again in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point), copy.copy(point)):
+            assert type(again) is groups.P256Point and again == point and tuple(again) == tuple(point)
+        assert p256.encode(copy.deepcopy(point)) == p256.encode(point)
 
     def test_scalar_codec(self, p256):
         s = 0xDEADBEEF

@@ -46,19 +46,19 @@ def toy_config(**overrides):
 class TestConfig:
     def test_validation_names_the_field(self):
         with pytest.raises(ConfigError) as err:
-            CampaignConfig(sessions=0).validate()
+            CampaignConfig(sessions=0)
         assert err.value.field_name == "sessions"
         with pytest.raises(ConfigError) as err:
-            CampaignConfig(sessions=1, adv_ratio=1.5).validate()
+            CampaignConfig(sessions=1, adv_ratio=1.5)
         assert err.value.field_name == "adv_ratio"
         with pytest.raises(ConfigError) as err:
-            CampaignConfig(sessions=1, latency_range_ms=(20, 10)).validate()
+            CampaignConfig(sessions=1, latency_range_ms=(20, 10))
         assert err.value.field_name == "latency_range_ms"
         with pytest.raises(ConfigError) as err:
-            CampaignConfig(sessions=1, group_id="nope").validate()
+            CampaignConfig(sessions=1, group_id="nope")
         assert err.value.field_name == "group_id"
         with pytest.raises(ConfigError) as err:
-            CampaignConfig(sessions=1, adv_ratio=0.5, adversary_mix={"replay": 0.0}).validate()
+            CampaignConfig(sessions=1, adv_ratio=0.5, adversary_mix={"replay": 0.0})
         assert err.value.field_name == "adversary_mix"
 
     def test_json_roundtrip(self):
