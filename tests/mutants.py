@@ -1,5 +1,6 @@
-"""Mutation gate: each security check of the session protocol, the config and report rules, and the
-P-256 point's equality and finaliser, has tests that fail without it.
+"""Mutation gate: each security check of the session protocol, the config and report rules, the
+P-256 point's equality and finaliser, and exp's wipe and reuse of its scalar BIGNUM, has tests that
+fail without it.
 
 MUTANTS lists textual mutants as (file under src/przkbind, exact text, replacement, test ids).
 For each one, the runner copies src/ to a temporary directory, requires the text to occur there
@@ -167,6 +168,20 @@ MUTANTS = [
         "groups.py",  # a dropped P-256 point keeps its EC_POINT: every exp, mul and decode leaks one
         "        self._free(self._ptr)",
         "        pass",
+        [f"{G}::TestP256::test_repeated_operations_do_not_grow_memory",
+         f"{G}::TestP256::test_honest_session_work_count"],
+    ),
+    (
+        "groups.py",  # exp leaves its scalar, which may be a secret key, in the scratch BIGNUM
+        "                lib.BN_clear(scalar)",
+        "                pass",
+        [f"{G}::TestP256::test_exp_wipes_the_scratch_scalar",
+         f"{G}::TestP256::test_honest_session_work_count"],
+    ),
+    (
+        "groups.py",  # exp loads its scalar into a new BIGNUM, never cleared or freed, in place of the scratch one
+        "lib.BN_bin2bn(data, 32, scalar)",
+        "lib.BN_bin2bn(data, 32, None)",
         [f"{G}::TestP256::test_repeated_operations_do_not_grow_memory",
          f"{G}::TestP256::test_honest_session_work_count"],
     ),

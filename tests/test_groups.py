@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import gc
 import hashlib
 import os
@@ -31,9 +32,34 @@ from przkbind.simulator import HONEST, CampaignConfig, _spawn_rng, build_env, ru
 
 TOY_MEMBERS = sorted(pow(2, k, 23) for k in range(11))
 P256_P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
+P256_B = 0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B
+P256_G = (0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
+          0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5)
+
+
+def _python(script, *args):
+    """The stdout of a fresh interpreter that runs script, with this przkbind on its path."""
+    src = str(Path(groups.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                          text=True, timeout=300, check=True).stdout
 
 
 class TestToyGroup:
+    def test_toy_runs_never_load_ctypes(self, tmp_path):
+        """A toy campaign and the report check of its file never load ctypes,
+        which only P-256 needs."""
+        script = """
+import sys
+from przkbind import cli
+out = sys.argv[1]
+assert cli.main(["simulate", "--group", "toy", "--sessions", "50", "--adv-ratio", "0.5", "--seed", "7",
+                 "--out", out]) == 0
+assert cli.main(["report", "--in", out + ".json"]) == 0
+print("ctypes" in sys.modules)
+"""
+        assert _python(script, str(tmp_path / "toy")).splitlines()[-1] == "False"
+
     def test_parameters(self, toy):
         assert toy.q == 11
         assert all(toy.q % d for d in range(2, toy.q))  # prime
@@ -201,38 +227,49 @@ def _naive_mult(base, k):
     return acc
 
 
+def _enc(pair):
+    """The SEC 1 compressed encoding of an affine pair, 33 zero bytes for None."""
+    if pair is None:
+        return bytes(33)
+    x, y = pair
+    return bytes([2 + (y & 1)]) + x.to_bytes(32, "big")
+
+
 class TestP256:
     P = P256_P
 
     def test_generator_is_on_curve(self, p256):
-        assert p256.is_member(p256.g)
+        assert p256.is_member(p256.g) and type(p256.g) is groups.P256Point
+        assert p256.encode(p256.g) == _enc(P256_G)
         assert p256.q.bit_length() == 256
 
     def test_double_matches_affine_oracle(self, p256):
-        oracle = _affine_double(p256.g, self.P, self.P - 3)
-        assert p256.exp(p256.g, 2) == oracle
-        assert p256.mul(p256.g, p256.g) == oracle
+        oracle = _enc(_affine_double(P256_G, self.P, self.P - 3))
+        assert p256.encode(p256.exp(p256.g, 2)) == oracle
+        assert p256.encode(p256.mul(p256.g, p256.g)) == oracle
 
     def test_exp_matches_naive_double_and_add(self, p256):
         rng = random.Random(1)
-        base = _naive_mult(p256.g, rng.randrange(1, p256.q))
+        pair = _naive_mult(P256_G, rng.randrange(1, p256.q))
+        base = p256.decode(_enc(pair))
         for _ in range(4):
             k = rng.randrange(1, p256.q)
-            assert p256.exp(p256.g, k) == _naive_mult(p256.g, k)
-            assert p256.exp(base, k) == _naive_mult(base, k)
+            assert p256.encode(p256.exp(p256.g, k)) == _enc(_naive_mult(P256_G, k))
+            assert p256.encode(p256.exp(base, k)) == _enc(_naive_mult(pair, k))
 
     def test_mul_matches_affine_oracle(self, p256):
         rng = random.Random(6)
-        a, b = (_naive_mult(p256.g, rng.randrange(1, p256.q)) for _ in range(2))
-        assert p256.mul(a, b) == _affine_add(a, b, self.P, self.P - 3)
-        assert p256.mul(a, a) == _affine_double(a, self.P, self.P - 3)
-        assert p256.mul(a, (a[0], self.P - a[1])) is None
-        assert p256.mul(a, None) == p256.mul(None, a) == a
+        a, b = (_naive_mult(P256_G, rng.randrange(1, p256.q)) for _ in range(2))
+        pa, pb, neg_a = (p256.decode(_enc(pair)) for pair in (a, b, (a[0], self.P - a[1])))
+        assert p256.encode(p256.mul(pa, pb)) == _enc(_affine_add(a, b, self.P, self.P - 3))
+        assert p256.encode(p256.mul(pa, pa)) == _enc(_affine_double(a, self.P, self.P - 3))
+        assert p256.mul(pa, neg_a) is None
+        assert p256.mul(pa, None) == p256.mul(None, pa) == pa
 
     def test_group_order_annihilates_generator(self, p256):
         assert p256.exp(p256.g, p256.q) is None
-        gx, gy = p256.g
-        assert p256.exp(p256.g, p256.q - 1) == (gx, self.P - gy)
+        gx, gy = P256_G
+        assert p256.encode(p256.exp(p256.g, p256.q - 1)) == _enc((gx, self.P - gy))
 
     def test_exp_is_homomorphic_sampled(self, p256):
         rng = random.Random(2)
@@ -280,9 +317,9 @@ class TestP256:
         OpenSSL's generator table) and 2 additions: one per group.exp and
         group.mul, with no curve arithmetic anywhere else; a decode makes
         neither. No operation makes a BN_CTX or a BIGNUM: each reuses the
-        working objects that ``_curve`` made once. Each exp, mul and decode
-        result is one new EC_POINT, and each is freed once its point is
-        dropped."""
+        working objects that ``_curve`` made once, and each exp clears the
+        scalar BIGNUM once. Each exp, mul and decode result is one new
+        EC_POINT, and each is freed once its point is dropped."""
         config = CampaignConfig(sessions=1, group_id="p256", rng_seed=5)
         env = build_env(config)
         lib, *curve = groups._curve()
@@ -305,7 +342,7 @@ class TestP256:
                     counts["BN_new"] += 1
                 return lib.BN_bin2bn(data, size, ret)
 
-        for name in ("BN_CTX_new", "BN_new", "EC_POINT_new", "EC_POINT_free"):
+        for name in ("BN_CTX_new", "BN_new", "BN_clear", "EC_POINT_new", "EC_POINT_free"):
             def call(*args, name=name):
                 counts[name] += 1
                 return getattr(lib, name)(*args)
@@ -318,8 +355,18 @@ class TestP256:
         assert decoded == [p256.g, env.record.pk_d, env.record.pk_p]
         del decoded
         gc.collect()  # the session's parties and their points are dropped by now
-        assert counts == {"generator mul": 4, "point mul": 3, "add": 2,
+        assert counts == {"generator mul": 4, "point mul": 3, "add": 2, "BN_clear": 7,
                           "EC_POINT_new": 9 + 3, "EC_POINT_free": 9 + 3}
+
+    def test_exp_wipes_the_scratch_scalar(self, p256):
+        """The scalar BIGNUM that every exp loads its exponent into, which may
+        be a secret key, reads zero once exp returns, on the generator table
+        and on any other base."""
+        base = p256.exp(p256.g, 0x5EED)
+        lib, _, (_, scalar, _), _ = groups._curve()
+        for point in (p256.g, base):
+            p256.exp(point, 0xC0FFEE)
+            assert lib.BN_num_bits(ctypes.c_void_p(scalar)) == 0
 
     def test_wire_points_leave_no_per_base_state(self, p256):
         rng = random.Random(5)
@@ -336,10 +383,10 @@ class TestP256:
     def test_threads_share_the_curve_safely(self, p256):
         """Four threads, started together, each run the same 100 exps and 100
         muls 20 times over; every result equals the serial one. ctypes
-        releases the GIL inside libcrypto, so an OpenSSL object shared between
-        threads, such as one result point or one BN_CTX, races here and makes
-        this test fail or crash in most runs, unless the operation holds the
-        lock that guards it."""
+        releases the GIL inside libcrypto, so an OpenSSL object that threads
+        share, such as the BN_CTX, the scalar BIGNUM or the output buffer,
+        races here and makes this test fail or crash in most runs, unless the
+        operation holds the lock that guards it."""
         rng = random.Random(7)
         bases = [p256.g] + [p256.exp(p256.g, rng.randrange(1, p256.q)) for _ in range(3)]
         work = [(bases[i % 4], bases[(i + 1) % 4], rng.randrange(1, p256.q)) for i in range(100)]
@@ -363,19 +410,29 @@ class TestP256:
             assert rounds == [expected[shift:] + expected[:shift]] * 20
 
     def test_repeated_operations_do_not_grow_memory(self):
-        """Every operation reuses the same OpenSSL working objects: 20 000
-        exps, 20 000 muls and 20 000 decodes after a warm-up of 1 000 of each
-        leave the peak RSS where it was. VmHWM is this address space's own
-        peak (ru_maxrss would start at pytest's). Leaking one BIGNUM per exp,
-        or per decode, grows it by ~630 KiB when przkbind compiles from source
-        and by ~1560 KiB when it loads from .pyc files; leaking a point or a
-        BN_CTX per operation grows it by tens of MiB."""
+        """20 000 exps, 20 000 muls and 20 000 decodes after a warm-up of 1 000
+        of each leave the peak RSS and the C heap in use where they were:
+        every operation reuses the same OpenSSL working objects, and the
+        EC_POINT of every result is freed with its point. VmHWM is this
+        address space's own peak (ru_maxrss would start at pytest's); glibc's
+        mallinfo2 counts the bytes that malloc has handed out and not had
+        back, which is where libcrypto keeps its objects. Leaking one BIGNUM
+        per exp grows the heap in use by ~1560 KiB, whether przkbind loads
+        from .pyc files or compiles from source; the peak alone can miss part
+        of such a leak, as heap that compiling freed absorbs it. Leaking a
+        point per operation grows both by ~17 MiB."""
         script = """
-import random
+import ctypes, random
 from przkbind.groups import get_group
-def peak_kib():
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+def kib():
     with open("/proc/self/status") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+        peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    return peak, mallinfo2().uordblks // 1024
 p256 = get_group("p256")
 rng = random.Random(8)
 base = p256.exp(p256.g, rng.randrange(1, p256.q))
@@ -384,26 +441,33 @@ def work(n):
     for i in range(n):
         p256.mul(p256.exp(p256.g if i % 2 else base, rng.randrange(1, p256.q)), p256.decode(wire))
 work(1_000)
-before = peak_kib()
+before = kib()
 work(20_000)
-print(peak_kib() - before)
+print(*(after - was for after, was in zip(kib(), before)))
 """
-        src = str(Path(groups.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                              text=True, timeout=300, check=True)
-        assert int(proc.stdout) < 256  # KiB
+        peak, heap = map(int, _python(script).split())
+        assert peak < 256 and heap < 256  # KiB
 
-    def test_point_is_its_affine_pair(self, p256):
+    def test_tuples_are_not_elements(self, p256):
+        """A point is not its affine pair: the pair is no member, and exp, mul
+        and encode refuse it by name."""
         point = p256.exp(p256.g, 0xC0FFEE)
-        pair = _naive_mult(p256.g, 0xC0FFEE)
-        assert type(point) is groups.P256Point
-        assert point == pair and pair == point and not point != pair
-        assert hash(point) == hash(pair) and {pair: 1}[point] == 1
-        x, y = point
-        assert (x, y) == (point[0], point[1]) == tuple(point) == pair
-        assert point != (x, y + 1) and point != [x, y] and point != p256.g
+        pair = _naive_mult(P256_G, 0xC0FFEE)
+        assert p256.encode(point) == _enc(pair)
+        assert point != pair and pair != point and not point == pair
+        assert point != p256.g and point == p256.decode(_enc(pair))
         assert point != None  # noqa: E711 -- the protocol compares with the identity, which is None
+        assert not p256.is_member(pair)
+        for operation in (lambda: p256.exp(pair, 2), lambda: p256.mul(point, pair),
+                          lambda: p256.mul(pair, None), lambda: p256.encode(pair)):
+            with pytest.raises(GroupError) as info:
+                operation()
+            assert repr(pair) in str(info.value)
+
+    def test_points_hash_by_encoding(self, p256):
+        a, b = p256.exp(p256.g, 3), p256.mul(p256.g, p256.exp(p256.g, 2))
+        assert a is not b and hash(a) == hash(b) == hash(p256.encode(a))
+        assert {a: 1}[b] == 1 and len({a, b, p256.exp(p256.g, 4)}) == 2
 
     def test_points_compare_through_libcrypto(self, p256):
         a, b = p256.exp(p256.g, 3), p256.mul(p256.exp(p256.g, 1), p256.exp(p256.g, 2))
@@ -414,7 +478,7 @@ print(peak_kib() - before)
     def test_point_survives_pickle_and_deepcopy(self, p256):
         point = p256.exp(p256.g, 12345)
         for again in (pickle.loads(pickle.dumps(point)), copy.deepcopy(point), copy.copy(point)):
-            assert type(again) is groups.P256Point and again == point and tuple(again) == tuple(point)
+            assert type(again) is groups.P256Point and again == point
         assert p256.encode(copy.deepcopy(point)) == p256.encode(point)
 
     def test_scalar_codec(self, p256):
@@ -425,14 +489,17 @@ print(peak_kib() - before)
 
 
 _P256 = get_group("p256")
-_X5 = _P256.decode(b"\x02" + (5).to_bytes(32, "big"))  # x = 5 is on the curve, so 5 + p fits 32 bytes
-_POINTS = [_P256.g, _X5, _naive_mult(_P256.g, 7)]
+_Y5 = pow(5**3 - 3 * 5 + P256_B, (P256_P + 1) // 4, P256_P)  # a square root, as p = 3 mod 4
+# x = 5 is on the curve, so 5 + p fits 32 bytes
+_PAIRS = [P256_G, (5, _Y5 if _Y5 % 2 == 0 else P256_P - _Y5), _naive_mult(P256_G, 7)]
+_POINTS = [_P256.g] + [_P256.decode(_enc(pair)) for pair in _PAIRS[1:]]
 _Pair = namedtuple("_Pair", "x y")
 
 
-def _near_misses(point):
-    """Values one step from a curve point; is_member accepts only the last."""
-    x, y = point
+def _near_misses(pair):
+    """Values one step from a curve point's affine pair, and the pair in other
+    forms: no element is among them."""
+    x, y = pair
     return [
         [x, y], (x,), (x, y, 0), (), (float(x), float(y)), (x, str(y)), x, True, False, 1.0,
         (True, y), (x, False), (x - P256_P, y), (-x, y), (x, -y),
@@ -444,14 +511,15 @@ def _near_misses(point):
 _COORDINATES = st.one_of(st.integers(-(2**257), 2**257), st.integers(P256_P, 2**256 - 1),
                          st.integers(0, P256_P - 1), st.booleans(), st.floats())
 _ENCODINGS = [_P256.encode(point) for point in _POINTS] + [
-    b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big") for x, y in _POINTS] + [b"\x00", b""]
+    b"\x04" + x.to_bytes(32, "big") + y.to_bytes(32, "big") for x, y in _PAIRS] + [b"\x00", b""]
 _OPERANDS = st.one_of(
     st.none(),
     st.sampled_from(_ENCODINGS),  # bytes are not elements, not even a point's own encoding
     st.sampled_from(_POINTS),
-    st.sampled_from(_POINTS).flatmap(lambda point: st.sampled_from(_near_misses(point))),
+    st.sampled_from(_PAIRS),  # an affine pair on the curve is not an element either
+    st.sampled_from(_PAIRS).flatmap(lambda pair: st.sampled_from(_near_misses(pair))),
     st.tuples(_COORDINATES, _COORDINATES),
-    st.tuples(st.integers(P256_P, 2**256 - 1), st.sampled_from([y for _, y in _POINTS])),
+    st.tuples(st.integers(P256_P, 2**256 - 1), st.sampled_from([y for _, y in _PAIRS])),
     st.lists(_COORDINATES, max_size=3),
     st.lists(_COORDINATES, max_size=3).map(tuple),
 )
@@ -461,11 +529,13 @@ _OPERANDS = st.one_of(
 @given(operand=_OPERANDS, other=st.sampled_from([*_POINTS, None]),
        e=st.one_of(st.integers(-(2**257), 2**257), st.sampled_from([0, _P256.q, -_P256.q, 3 * _P256.q])))
 def test_exp_and_mul_reject_exactly_what_is_member_rejects(operand, other, e):
-    """exp, at any exponent, and mul, in either position, raise GroupError
-    naming the operand exactly when is_member rejects it: the curve check
-    that libcrypto makes for them agrees with the Python one."""
+    """exp, at any exponent, mul, in either position, and encode raise
+    GroupError naming the operand exactly when is_member rejects it, and
+    is_member takes a P256Point or None and nothing else: not bytes, not an
+    affine pair on the curve."""
+    assert _P256.is_member(operand) == (operand is None or type(operand) is groups.P256Point)
     operations = [lambda: _P256.exp(operand, e), lambda: _P256.mul(operand, other),
-                  lambda: _P256.mul(other, operand)]
+                  lambda: _P256.mul(other, operand), lambda: _P256.encode(operand)]
     for operation in operations:
         if _P256.is_member(operand):
             operation()

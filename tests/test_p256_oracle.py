@@ -1,8 +1,9 @@
 """Differential test of P-256 exp and mul against OpenSSL through `cryptography`.
 
-The generator path is checked as a full point against OpenSSL's public
-key derivation; other bases are checked by the x coordinate against
-OpenSSL's ECDH, which returns only x. Both paths run in the same libcrypto
+The generator path is checked as a full point, by its compressed
+encoding, against OpenSSL's public key derivation; other bases are checked
+by the x coordinate against OpenSSL's ECDH, which returns only x. Reference
+points enter through ``decode`` of OpenSSL's encodings. Both paths run in the same libcrypto
 as `cryptography`, so these tests pin the binding (scalar reduction, point
 transfer, the identity) rather than the curve formulas: those are checked
 against textbook affine formulas in test_groups.py. The scalars include
@@ -20,6 +21,7 @@ import pytest
 from przkbind.groups import GroupError
 
 ec = pytest.importorskip("cryptography.hazmat.primitives.asymmetric.ec")
+serialization = pytest.importorskip("cryptography.hazmat.primitives.serialization")
 
 Q = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
 P = 0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF
@@ -38,20 +40,24 @@ def _private(e):
     return ec.derive_private_key(e % Q, ec.SECP256R1())
 
 
+def _compressed_key(key):
+    return key.public_bytes(serialization.Encoding.X962, serialization.PublicFormat.CompressedPoint)
+
+
 def _public(e):
-    """e * G as OpenSSL derives the public key of private key e."""
-    numbers = _private(e).public_key().public_numbers()
-    return (numbers.x, numbers.y)
+    """e * G, compressed, as OpenSSL derives the public key of private key e."""
+    return _compressed_key(_private(e).public_key())
 
 
-def _ecdh_x(e, point):
-    peer = ec.EllipticCurvePublicNumbers(point[0], point[1], ec.SECP256R1()).public_key()
-    return int.from_bytes(_private(e).exchange(ec.ECDH(), peer), "big")
+def _ecdh_x(p256, e, point):
+    """The 32-byte x coordinate of e * point, by OpenSSL's ECDH."""
+    peer = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), p256.encode(point))
+    return _private(e).exchange(ec.ECDH(), peer)
 
 
 @pytest.mark.parametrize("e", _scalars())
 def test_generator_matches_openssl(p256, e):
-    assert p256.exp(p256.g, e) == _public(e)
+    assert p256.encode(p256.exp(p256.g, e)) == _public(e)
 
 
 def _summands():
@@ -62,23 +68,23 @@ def _summands():
 
 @pytest.mark.parametrize("a, b", _summands())
 def test_mul_matches_openssl(p256, a, b):
-    point = _public(a)
-    assert p256.mul(point, _public(b)) == _public(a + b)
-    assert p256.mul(point, point) == _public(2 * a)
-    assert p256.mul(point, _public(-a)) is None
+    point = p256.decode(_public(a))
+    assert p256.encode(p256.mul(point, p256.decode(_public(b)))) == _public(a + b)
+    assert p256.encode(p256.mul(point, point)) == _public(2 * a)
+    assert p256.mul(point, p256.decode(_public(-a))) is None
 
 
 @pytest.mark.parametrize("e", _scalars())
 def test_other_bases_match_openssl_ecdh(p256, e):
-    base = _public(0x5EED)
-    assert p256.exp(base, e)[0] == _ecdh_x(e, base)
+    base = p256.decode(_public(0x5EED))
+    assert p256.encode(p256.exp(base, e))[1:] == _ecdh_x(p256, e, base)
 
 
 def test_every_power_of_two_matches_openssl(p256):
     base = p256.exp(p256.g, 0x5EED)
     for k in range(256):
-        assert p256.exp(p256.g, 1 << k) == _public(1 << k), k
-        assert p256.exp(base, 1 << k)[0] == _ecdh_x(1 << k, base), k
+        assert p256.encode(p256.exp(p256.g, 1 << k)) == _public(1 << k), k
+        assert p256.encode(p256.exp(base, 1 << k))[1:] == _ecdh_x(p256, 1 << k, base), k
 
 
 def test_multiples_of_the_order_give_the_identity(p256):
@@ -99,7 +105,7 @@ def _non_residue_xs():
 
 
 def _valid_xs():
-    return [_public(e)[0] for e in _scalars()]
+    return [int.from_bytes(_public(e)[1:], "big") for e in _scalars()]
 
 
 def _random_encodings():
@@ -122,18 +128,18 @@ _ENCODINGS = {
 
 
 def _ours(p256, data):
+    """The point that data decodes to, by its encoding."""
     try:
-        return p256.decode(data)
+        return p256.encode(p256.decode(data))
     except GroupError:
         return "rejected"
 
 
 def _openssl(data):
     try:
-        numbers = ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), data).public_numbers()
+        return _compressed_key(ec.EllipticCurvePublicKey.from_encoded_point(ec.SECP256R1(), data))
     except ValueError:
         return "rejected"
-    return (numbers.x, numbers.y)
 
 
 @pytest.mark.parametrize("kind", list(_ENCODINGS))
