@@ -276,7 +276,7 @@ class P256Group(_ScalarCodec):
     P256Point, or None at infinity: ``EC_POINT_mul`` with OpenSSL's generator
     table for ``g`` and on the point for every other base, ``EC_POINT_add``,
     and ``EC_POINT_oct2point``, the range and curve check of every encoding.
-    An infinity operand is answered in Python.
+    An infinity operand, or an exponent that q divides, is answered in Python.
     Every operation reuses one set of OpenSSL working objects under a lock.
     ``g`` is made with them, by the first P-256 operation; the group object
     holds no per-base state.
@@ -301,7 +301,7 @@ class P256Group(_ScalarCodec):
 
     def exp(self, base: Element, e: int) -> Element:
         point, data = _ptr(base), (e % self.q).to_bytes(32, "big")
-        if point is None:
+        if point is None or not any(data):  # q | e: prime order and cofactor 1 make e*P infinity then, and only then
             return None
         with _LOCK:
             lib, group, (_, scalar, _), g = _curve()
@@ -316,7 +316,7 @@ class P256Group(_ScalarCodec):
                     _ok(lib.EC_POINT_mul(group, result._ptr, None, point, k, None))
             finally:
                 lib.BN_clear(scalar)
-            return None if lib.EC_POINT_is_at_infinity(group, result._ptr) else result
+            return result
 
     def mul(self, a: Element, b: Element) -> Element:
         pa, pb = _ptr(a), _ptr(b)

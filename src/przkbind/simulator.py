@@ -279,7 +279,7 @@ class CampaignReport:
 
     @classmethod
     def from_dict(cls, obj) -> "CampaignReport":
-        """A parsed report file; an error names the bad block, or the row by index (or position, if it has none)."""
+        """A parsed report file that passes every report rule; it holds the aggregates recomputed from its rows."""
         config = CampaignConfig.from_dict(obj["config"])
         rows = obj["sessions"]
         if not isinstance(rows, list):
@@ -300,7 +300,16 @@ class CampaignReport:
             raise TypeError("aggregates is not an object")
         if len(sessions) != config.sessions or [m.index for m in sessions] != list(range(len(sessions))):
             raise ValueError(f"rows are not sessions 0..{config.sessions - 1} in index order")
-        return cls(config, sessions, obj["aggregates"])
+        aggregates = compute_aggregates(sessions, config.energy_weights)
+        for metric, value in aggregates.items():  # as JSON text: a stored false is not a recomputed 0
+            if metric not in obj["aggregates"]:
+                raise ValueError(f"aggregate mismatch: {metric} missing from report")
+            if json.dumps(obj["aggregates"][metric], sort_keys=True) != json.dumps(value, sort_keys=True):
+                raise ValueError(f"aggregate mismatch: {metric}")
+        allocated = kind_counts(config.sessions, config.adv_ratio, config.adversary_mix)
+        if aggregates["kind_counts"] != allocated:
+            raise ValueError(f"kind_counts differ from what the config allocates: {allocated}")
+        return cls(config, sessions, aggregates)
 
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2) + "\\n", byte for byte. The C

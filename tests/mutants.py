@@ -1,6 +1,6 @@
 """Mutation gate: each security check of the session protocol, the config and report rules, the
-P-256 point's equality and finaliser, and exp's wipe and reuse of its scalar BIGNUM, has tests that
-fail without it.
+P-256 point's equality and finaliser, exp's answer for a multiple of q, and exp's wipe and reuse of
+its scalar BIGNUM, has tests that fail without it.
 
 MUTANTS lists textual mutants as (file under src/przkbind, exact text, replacement, test ids).
 For each one, the runner copies src/ to a temporary directory, requires the text to occur there
@@ -142,6 +142,20 @@ MUTANTS = [
          f"{C}::TestReport::test_malformed_report_is_integrity_failure[honest_key_time_off_its_auth_latency]"],
     ),
     (
+        "simulator.py",  # a report's stored aggregates are read as they stand: a forged FAR reprints as the file has it
+        "        for metric, value in aggregates.items():",
+        "        for metric, value in ():",
+        [f"{S}::TestReportSerialization::test_reader_checks_aggregates_and_allocation[forged_far]",
+         f"{C}::TestReport::test_hand_edited_aggregate_detected"],
+    ),
+    (
+        "simulator.py",  # a report's kind counts need not be what its config allocates
+        '        if aggregates["kind_counts"] != allocated:',
+        "        if False:",
+        [f"{S}::TestReportSerialization::test_reader_checks_aggregates_and_allocation[config_allocates_other_kinds]",
+         f"{C}::test_config_that_allocates_other_kinds_is_integrity_failure"],
+    ),
+    (
         "simulator.py",  # an honest session counts as accepted when both parties are keyed, whatever their keys
         "p.session_key.k_pd == d.session_key.k_pd",
         "True",
@@ -170,6 +184,13 @@ MUTANTS = [
         "        pass",
         [f"{G}::TestP256::test_repeated_operations_do_not_grow_memory",
          f"{G}::TestP256::test_honest_session_work_count"],
+    ),
+    (
+        "groups.py",  # exp multiplies by a multiple of q: libcrypto's infinity comes back as a P256Point, not None
+        "        if point is None or not any(data):",
+        "        if point is None:",
+        [f"{G}::TestP256::test_exp_by_a_multiple_of_q_is_infinity_without_libcrypto",
+         f"{G}::TestP256::test_group_order_annihilates_generator"],
     ),
     (
         "groups.py",  # exp leaves its scalar, which may be a secret key, in the scratch BIGNUM

@@ -631,7 +631,7 @@ class TestReport:
         obj = json.loads(report_file.read_text())
         del obj["aggregates"]["far"]
         report_file.write_text(json.dumps(obj))
-        assert run("report", "--in", str(report_file)) == (3, "", "error: aggregate mismatch: far missing from report\n")
+        assert run("report", "--in", str(report_file)) == (3, "", "error: malformed report file: aggregate mismatch: far missing from report\n")
 
     @pytest.mark.parametrize("metric, stored", [("honest_accept_rate", True), ("honest_accept_rate", 1),
                                                 ("sessions", 30.0)])
@@ -641,7 +641,7 @@ class TestReport:
         assert obj["aggregates"][metric] == stored and json.dumps(obj["aggregates"][metric]) != json.dumps(stored)
         obj["aggregates"][metric] = stored
         report_file.write_text(json.dumps(obj))
-        assert run("report", "--in", str(report_file)) == (3, "", f"error: aggregate mismatch: {metric}\n")
+        assert run("report", "--in", str(report_file)) == (3, "", f"error: malformed report file: aggregate mismatch: {metric}\n")
 
     @pytest.mark.parametrize("drop", [0, -1])
     def test_rows_must_be_every_session_of_the_config(self, run, report_file, drop):
@@ -801,7 +801,7 @@ def test_config_that_allocates_other_kinds_is_integrity_failure(run, report_text
     (tmp_path / "edited.json").write_text(json.dumps(obj))
     code, out, err = run("report", "--in", "edited.json")
     assert (code, out) == (3, "")
-    assert err.startswith("error: kind_counts differ from what the config allocates") and err.count("\n") == 1
+    assert err.startswith("error: malformed report file: kind_counts differ from what the config allocates") and err.count("\n") == 1
 
 
 def test_keywords_file_and_flags_write_one_report(run, tmp_path):

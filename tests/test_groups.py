@@ -316,10 +316,12 @@ class TestP256:
         """One honest session makes 7 libcrypto multiplies (4 of them on
         OpenSSL's generator table) and 2 additions: one per group.exp and
         group.mul, with no curve arithmetic anywhere else; a decode makes
-        neither. No operation makes a BN_CTX or a BIGNUM: each reuses the
-        working objects that ``_curve`` made once, and each exp clears the
-        scalar BIGNUM once. Each exp, mul and decode result is one new
-        EC_POINT, and each is freed once its point is dropped."""
+        neither. Only the additions ask whether their result is infinity: an
+        exp knows that from its scalar. No operation makes a BN_CTX or a
+        BIGNUM: each reuses the working objects that ``_curve`` made once,
+        and each exp clears the scalar BIGNUM once. Each exp, mul and decode
+        result is one new EC_POINT, and each is freed once its point is
+        dropped."""
         config = CampaignConfig(sessions=1, group_id="p256", rng_seed=5)
         env = build_env(config)
         lib, *curve = groups._curve()
@@ -342,7 +344,7 @@ class TestP256:
                     counts["BN_new"] += 1
                 return lib.BN_bin2bn(data, size, ret)
 
-        for name in ("BN_CTX_new", "BN_new", "BN_clear", "EC_POINT_new", "EC_POINT_free"):
+        for name in ("BN_CTX_new", "BN_new", "BN_clear", "EC_POINT_new", "EC_POINT_free", "EC_POINT_is_at_infinity"):
             def call(*args, name=name):
                 counts[name] += 1
                 return getattr(lib, name)(*args)
@@ -356,7 +358,29 @@ class TestP256:
         del decoded
         gc.collect()  # the session's parties and their points are dropped by now
         assert counts == {"generator mul": 4, "point mul": 3, "add": 2, "BN_clear": 7,
-                          "EC_POINT_new": 9 + 3, "EC_POINT_free": 9 + 3}
+                          "EC_POINT_new": 9 + 3, "EC_POINT_free": 9 + 3, "EC_POINT_is_at_infinity": 2}
+
+    def test_exp_by_a_multiple_of_q_is_infinity_without_libcrypto(self, p256, monkeypatch):
+        """The group has prime order and cofactor 1, so e·P is infinity
+        exactly when q divides e: exp answers None for such an e before it
+        makes a point or multiplies, on the generator and on any other base."""
+        g = p256.g
+        point = p256.exp(g, 0x5EED)
+        lib, *curve = groups._curve()
+        calls = Counter()
+
+        class Counted:
+            def __getattr__(self, name):
+                def call(*args):
+                    calls[name] += 1
+                    return getattr(lib, name)(*args)
+                return call
+
+        monkeypatch.setattr(groups, "_curve", lambda: (Counted(), *curve))
+        assert p256.exp(point, 0) is p256.exp(point, p256.q) is p256.exp(g, 2 * p256.q) is None
+        assert calls["EC_POINT_new"] == calls["EC_POINT_mul"] == 0
+        assert p256.exp(point, p256.q + 1) == point  # a scalar that q does not divide still multiplies
+        assert calls["EC_POINT_new"] == calls["EC_POINT_mul"] == 1
 
     def test_exp_wipes_the_scratch_scalar(self, p256):
         """The scalar BIGNUM that every exp loads its exponent into, which may

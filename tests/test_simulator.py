@@ -504,6 +504,31 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match="^session 3: key_establish_ms is neither null nor auth_latency_ms$"):
             CampaignReport.from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda obj: obj["aggregates"].update(far=0.5), "^aggregate mismatch: far$"),  # the run's FAR is 0.0
+            (lambda obj: obj["aggregates"].update(honest_accept_rate="1.0"), "^aggregate mismatch: honest_accept_rate$"),
+            (lambda obj: obj["aggregates"].pop("p95_auth_latency_ms"),
+             "^aggregate mismatch: p95_auth_latency_ms missing from report$"),
+            # the rows and aggregates are the campaign's; only the config's kind allocation is not
+            (lambda obj: obj["config"].update(adv_ratio=0.2), "^kind_counts differ from what the config allocates: "),
+        ],
+        ids=["forged_far", "retyped_honest_accept_rate", "removed_metric", "config_allocates_other_kinds"],
+    )
+    def test_reader_checks_aggregates_and_allocation(self, edit, named):
+        obj = run_campaign(toy_config()).to_dict()
+        edit(obj)
+        with pytest.raises(ValueError, match=named):
+            CampaignReport.from_dict(obj)
+
+    def test_reader_holds_the_recomputed_aggregates(self):
+        # the stored aggregates, their keys reordered, still read back to the run's own report bytes
+        report = run_campaign(toy_config())
+        obj = json.loads(report.to_json())
+        obj["aggregates"] = dict(reversed(obj["aggregates"].items()))
+        assert CampaignReport.from_dict(obj).to_json() == report.to_json()
+
     def test_json_roundtrip_preserves_sessions(self):
         report = run_campaign(toy_config(sessions=25, adv_ratio=0.2))
         obj = json.loads(report.to_json())
