@@ -25,10 +25,10 @@ The challenge hashes a fresh 32-byte session nonce along with alpha and
 zeta, so a replayed (alpha, z) meets a different challenge in every new
 session and the verification equation rejects it.
 
-Each party's state machine is one table, ``AWAITS``: the message each
-phase awaits and the step that answers it with one reply. A failed check
-fails the session, erasing its ephemeral secret and any key, and raises
-VerificationFailure; ``receive`` answers it with the reject verdict.
+Each party's state machine is one table, ``AWAITS``: the message each phase
+awaits, the step that answers it, and the reason for both undecodable bytes
+and a failed check. A step returns its reply, or None if its check fails; then
+``receive`` fails the session, erasing its ephemeral secret and any key.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import struct
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Callable, ClassVar, Dict, List, NoReturn, Optional, Tuple, Union
+from typing import Callable, ClassVar, Dict, List, Optional, Tuple, Union
 
 from .groups import (
     Element,
@@ -92,14 +92,6 @@ class Phase(Enum):
     @property
     def terminal(self) -> bool:
         return self in (Phase.KEY_ESTABLISHED, Phase.FAILED)
-
-
-class VerificationFailure(ProtocolError):
-    """A step's check failed; raised by ``_Session._reject`` with the verdict reason."""
-
-    def __init__(self, reason: Reason, detail: str = ""):
-        super().__init__(detail or reason.name)
-        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -314,10 +306,9 @@ _UNAWAITED = (None, None, Reason.OUT_OF_ORDER)  # AWAITS' entry for a phase it d
 class _Session:
     """State shared by both parties' machines."""
 
-    # Phase -> (the message class it awaits, the name of the step answering it with
-    # one reply, the reason malformed wire bytes fail the session with). Any other
-    # message, or a phase not listed, is out of order. Steps are named, not held, so
-    # that a step redefined on the class is the one that runs.
+    # Phase -> (the message class it awaits; the name of the step answering it with its reply, or with
+    # None if the message fails its check; the reason for both a failed check and undecodable bytes). Any
+    # other message, or a phase not listed, is out of order. Steps are named, not held, so a patched step runs.
     AWAITS: ClassVar[Dict[Phase, Tuple[type, str, Reason]]] = {}
 
     def __init__(self, group: Group, binding: BindingRecord, rng):
@@ -334,10 +325,6 @@ class _Session:
         self.session_key: Optional[SessionKey] = None
         self._nonce: Optional[int] = None  # D's r from commit to respond; P's r_p is a step's local
 
-    def _require_phase(self, expected: Phase) -> None:
-        if self.phase is not expected:
-            raise SessionError(f"operation requires phase {expected.name}, in {self.phase.name}")
-
     def _establish(self, shared: Element) -> None:
         """Hash the shared point and zeta into the session key."""
         self.ops.hash += 1
@@ -352,11 +339,6 @@ class _Session:
         self._nonce = None
         return [Verdict(False, reason)]
 
-    def _reject(self, reason: Reason, detail: str = "") -> NoReturn:
-        """A step's check failed: fail the session and raise for ``receive`` to answer."""
-        self._fail(reason)
-        raise VerificationFailure(reason, detail)
-
     def receive(self, msg: Message) -> List[Message]:
         """Feed one message; returns this party's replies.
 
@@ -364,8 +346,8 @@ class _Session:
         only heed a late verdict. A reject verdict fails the session,
         erasing a key already derived, since the peer holds none.
         The message the phase awaits in ``AWAITS`` gets its step's one
-        reply; any other fails the session with an out-of-order verdict,
-        and a step's rejection is answered with its reason.
+        reply, or fails the session with the phase's reason if the step
+        answers None; any other fails it with an out-of-order verdict.
         """
         if self.phase is Phase.FAILED:
             return []
@@ -375,22 +357,18 @@ class _Session:
             return []
         if self.phase is Phase.KEY_ESTABLISHED:
             return []
-        awaited, step, _ = self.AWAITS.get(self.phase, _UNAWAITED)
+        awaited, step, reason = self.AWAITS.get(self.phase, _UNAWAITED)
         if type(msg) is not awaited:
             return self._fail(Reason.OUT_OF_ORDER)
-        try:
-            return [getattr(self, step)(msg)]
-        except VerificationFailure as vf:
-            return self._fail(vf.reason)
+        reply = getattr(self, step)(msg)
+        return self._fail(reason) if reply is None else [reply]
 
     def receive_bytes(self, raw: bytes) -> List[Message]:
         """Decode wire bytes and feed them; malformed bytes fail the session."""
         try:
             msg = decode_message(self.group, raw)
         except WireError:
-            if self.phase.terminal:
-                return []
-            return self._fail(self.AWAITS.get(self.phase, _UNAWAITED)[2])
+            return [] if self.phase.terminal else self._fail(self.AWAITS.get(self.phase, _UNAWAITED)[2])
         return self.receive(msg)
 
 
@@ -399,8 +377,8 @@ class EntitySession(_Session):
     own identity and contributes the ephemeral key share."""
 
     AWAITS = {
-        Phase.IDLE: (Commit, "challenge", Reason.DEGENERATE_COMMITMENT),
-        Phase.CHALLENGED: (Response, "verify_response", Reason.BAD_PROOF),
+        Phase.IDLE: (Commit, "_challenge", Reason.DEGENERATE_COMMITMENT),
+        Phase.CHALLENGED: (Response, "_verify_response", Reason.BAD_PROOF),
     }
 
     def __init__(self, group: Group, keys: EntityKeys, binding: BindingRecord, rng):
@@ -411,11 +389,10 @@ class EntitySession(_Session):
         self._alpha: Optional[Element] = None
         self._c: Optional[int] = None
 
-    def challenge(self, commit: Commit) -> Challenge:
-        """Issue a challenge bound to the commitment, zeta, and a fresh nonce."""
-        self._require_phase(Phase.IDLE)
+    def _challenge(self, commit: Commit) -> Optional[Challenge]:
+        """Issue a challenge bound to the commitment, zeta, and a fresh nonce; None for a degenerate one."""
         if not self.group.is_member(commit.alpha) or commit.alpha == self.group.identity:
-            self._reject(Reason.DEGENERATE_COMMITMENT, "degenerate commitment")
+            return None
         nonce = self.rng.randbytes(32)
         c = hash_to_scalar(self.group, self.group.encode(commit.alpha), self.binding.zeta, nonce)
         self.ops.hash += 1
@@ -424,13 +401,12 @@ class EntitySession(_Session):
         self.phase = Phase.CHALLENGED
         return Challenge(c)
 
-    def verify_response(self, resp: Response) -> IdentityProof:
-        """Check the verification equation (failure is terminal), then reveal
+    def _verify_response(self, resp: Response) -> Optional[IdentityProof]:
+        """Check the verification equation (None if it fails), then reveal
         the identity hash with a fresh ephemeral share R_p = g^{r_p} and
         derive the session key from pk_d^{h_sp + r_p} and zeta."""
-        self._require_phase(Phase.CHALLENGED)
         if not schnorr_verify(self.group, self.binding.pk_d, self._alpha, self._c, resp.z, self.ops):
-            self._reject(Reason.BAD_PROOF, "response fails the verification equation")
+            return None
         r_p = scalar_random_nonzero(self.group, self.rng)
         r_p_pub = self.ops.exp(self.group, self.group.g, r_p)
         self._establish(self.ops.exp(self.group, self.binding.pk_d, (self.keys.h_sp + r_p) % self.group.q))
@@ -442,8 +418,8 @@ class TwinSession(_Session):
     identity hash, and derives the session key from the ephemeral share."""
 
     AWAITS = {
-        Phase.COMMITMENT_SENT: (Challenge, "respond", Reason.OUT_OF_ORDER),
-        Phase.RESPONSE_SENT: (IdentityProof, "verify_identity", Reason.BAD_IDENTITY),
+        Phase.COMMITMENT_SENT: (Challenge, "_respond", Reason.OUT_OF_ORDER),
+        Phase.RESPONSE_SENT: (IdentityProof, "_verify_identity", Reason.BAD_IDENTITY),
     }
 
     def __init__(self, group: Group, twin: TwinKeyPair, binding: BindingRecord, rng):
@@ -458,29 +434,28 @@ class TwinSession(_Session):
         The nonce is drawn nonzero: a zero nonce would commit to the
         identity element, which verifiers reject as degenerate.
         """
-        self._require_phase(Phase.IDLE)
+        if self.phase is not Phase.IDLE:
+            raise SessionError(f"commit requires phase IDLE, in {self.phase.name}")
         self._nonce = scalar_random_nonzero(self.group, self.rng)
         alpha = self.ops.exp(self.group, self.group.g, self._nonce)
         self.phase = Phase.COMMITMENT_SENT
         return Commit(alpha)
 
-    def respond(self, ch: Challenge) -> Response:
-        """Answer the challenge with z = r + c * sk_d; r is erased. A
-        challenge outside [0, q) fails the session, as its encoding would."""
-        self._require_phase(Phase.COMMITMENT_SENT)
+    def _respond(self, ch: Challenge) -> Optional[Response]:
+        """Answer the challenge with z = r + c * sk_d; r is erased. None for a
+        challenge outside [0, q), which fails the session as its encoding would."""
         if not 0 <= ch.c < self.group.q:
-            self._reject(Reason.OUT_OF_ORDER, f"challenge scalar out of range: {ch.c}")
+            return None
         z = schnorr_response(self.group, self._nonce, ch.c, self.twin.sk_d)
         self._nonce = None
         self.phase = Phase.RESPONSE_SENT
         return Response(z)
 
-    def verify_identity(self, proof: IdentityProof) -> Verdict:
-        """Check R_p's membership and g^h_sp == pk_p (failure, or a zero h_sp,
-        is terminal), then derive the session key from (pk_p * R_p)^{sk_d} and zeta."""
-        self._require_phase(Phase.RESPONSE_SENT)
+    def _verify_identity(self, proof: IdentityProof) -> Optional[Verdict]:
+        """Check R_p's membership and g^h_sp == pk_p (None if either fails, or for
+        a zero h_sp), then derive the session key from (pk_p * R_p)^{sk_d} and zeta."""
         if not (self.group.is_member(proof.r_p_pub) and identity_check(self.group, self.binding.pk_p, proof.h_sp, self.ops)):
-            self._reject(Reason.BAD_IDENTITY, "identity proof rejected")
+            return None
         shared = self.ops.exp(self.group, self.ops.mul(self.group, self.binding.pk_p, proof.r_p_pub), self.twin.sk_d)
         self._establish(shared)
         return Verdict(True)

@@ -92,6 +92,11 @@ _auth_latency, _key_time = attrgetter("auth_latency_ms"), attrgetter("key_establ
 _OP_TOTALS = [(op, attrgetter(f"ops_p.{op}"), attrgetter(f"ops_d.{op}")) for op in OP_NAMES]
 
 
+def _refuse_unknown(obj: dict, known, where: str) -> None:  # every known key was read, so a longer obj holds another
+    if len(obj) != len(known):
+        raise ValueError(f"unknown key {sorted(obj.keys() - set(known))[0]!r} in {where}")
+
+
 class ConfigError(ValueError):
     """Invalid campaign configuration; names the offending field."""
 
@@ -223,6 +228,9 @@ class SessionMetrics:
         if not counts:
             p_ok = isinstance(ops, dict) and isinstance(ops.get("p"), dict) and ops["p"].keys() == _OP_KEYS
             raise TypeError(f"session {obj['index']!r} lacks ops.{'d' if p_ok else 'p'} (an object of op counts)")
+        if len(obj) + len(ops) != len(_ROW_TYPES) + 3:  # every field, ops, ops.p and ops.d were read
+            _refuse_unknown(obj, (*_ROW_TYPES, "ops"), f"session {obj['index']!r}")
+            _refuse_unknown(ops, "pd", f"session {obj['index']!r} ops")
         # positional, in SessionMetrics' field order: its ops follow the row's first five fields
         m = cls(*values[:5], OpCounts(*counts[:len(OP_NAMES)]), OpCounts(*counts[len(OP_NAMES):]), *values[5:])
         if tuple(map(type, values + counts)) not in _ROW_SHAPES or m.kind not in _SESSION_KINDS:
@@ -298,6 +306,7 @@ class CampaignReport:
             sessions.append(m)
         if not isinstance(obj["aggregates"], dict):
             raise TypeError("aggregates is not an object")
+        _refuse_unknown(obj, ("config", "sessions", "aggregates"), "report")
         if len(sessions) != config.sessions or [m.index for m in sessions] != list(range(len(sessions))):
             raise ValueError(f"rows are not sessions 0..{config.sessions - 1} in index order")
         aggregates = compute_aggregates(sessions, config.energy_weights)
@@ -306,6 +315,7 @@ class CampaignReport:
                 raise ValueError(f"aggregate mismatch: {metric} missing from report")
             if json.dumps(obj["aggregates"][metric], sort_keys=True) != json.dumps(value, sort_keys=True):
                 raise ValueError(f"aggregate mismatch: {metric}")
+        _refuse_unknown(obj["aggregates"], aggregates, "aggregates")
         allocated = kind_counts(config.sessions, config.adv_ratio, config.adversary_mix)
         if aggregates["kind_counts"] != allocated:
             raise ValueError(f"kind_counts differ from what the config allocates: {allocated}")

@@ -49,14 +49,15 @@ def p256():
 @pytest.fixture
 def skewed_twin_keys(monkeypatch):
     """Every twin that accepts an identity proof establishes a key its entity does not hold."""
-    verify = protocol.TwinSession.verify_identity
+    verify = protocol.TwinSession._verify_identity
 
     def skewed(self, proof):
         verdict = verify(self, proof)
-        self.session_key = protocol.SessionKey(bytes(len(self.session_key.k_pd)))
+        if verdict is not None:  # None: the proof failed the check, and receive fails the twin
+            self.session_key = protocol.SessionKey(bytes(len(self.session_key.k_pd)))
         return verdict
 
-    monkeypatch.setattr(protocol.TwinSession, "verify_identity", skewed)
+    monkeypatch.setattr(protocol.TwinSession, "_verify_identity", skewed)
 
 
 @pytest.fixture

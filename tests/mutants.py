@@ -55,10 +55,20 @@ MUTANTS = [
         "        self.session_key = None\n",
         [f"{SAFETY}::test_timeout_event",
          f"{SAFETY}::test_out_of_range_challenge_fails_like_its_malformed_bytes",
-         f"{ONE_PATH}[challenge out of range]"],
+         f"{ONE_PATH}[challenge out of range]",
+         f"{SAFETY}::test_no_path_to_key_establishment_skips_verification"],
     ),
     (
-        "protocol.py",  # respond keeps the nonce after answering
+        "protocol.py",  # a step that declines its message is answered with silence: the session stays open
+        "        return self._fail(reason) if reply is None else [reply]\n",
+        "        return [] if reply is None else [reply]\n",
+        [ONE_PATH,
+         f"{P}::TestTwinSession::test_identity_verification_vectors",
+         f"{P}::TestEntitySession::test_verify_response_failure_is_terminal",
+         f"{P}::TestEntitySession::test_non_member_commitment_is_degenerate"],
+    ),
+    (
+        "protocol.py",  # _respond keeps the nonce after answering
         "        self._nonce = None\n        self.phase = Phase.RESPONSE_SENT\n",
         "        self.phase = Phase.RESPONSE_SENT\n",
         [f"{P}::TestTwinSession::test_respond_vector_and_nonce_erasure",
@@ -86,7 +96,7 @@ MUTANTS = [
          f"{ONE_PATH}[challenge out of range]"],
     ),
     (
-        "protocol.py",  # verify_identity without is_member(R_p)
+        "protocol.py",  # _verify_identity without is_member(R_p)
         "self.group.is_member(proof.r_p_pub) and ",
         "",
         [f"{ONE_PATH}[non-member share]",
@@ -107,7 +117,7 @@ MUTANTS = [
          f"{P}::TestEntitySession::test_record_moved_to_another_time_refused"],
     ),
     (
-        "protocol.py",  # EntitySession.challenge without is_member(alpha)
+        "protocol.py",  # EntitySession._challenge without is_member(alpha)
         "not self.group.is_member(commit.alpha) or ",
         "",
         [f"{P}::TestEntitySession::test_non_member_commitment_is_degenerate",
@@ -147,6 +157,22 @@ MUTANTS = [
         "        for metric, value in ():",
         [f"{S}::TestReportSerialization::test_reader_checks_aggregates_and_allocation[forged_far]",
          f"{C}::TestReport::test_hand_edited_aggregate_detected"],
+    ),
+    (
+        "simulator.py",  # a report's unknown keys are read past: its reprint silently drops them
+        "    if len(obj) != len(known):\n",
+        "    if False:\n",
+        [f"{S}::TestReportSerialization::test_reader_refuses_unknown_content[extra_aggregate]",
+         f"{S}::TestReportSerialization::test_reader_refuses_unknown_content[extra_row_field]",
+         f"{C}::TestReport::test_unknown_content_is_integrity_failure"],
+    ),
+    (
+        "simulator.py",  # a report row's unknown keys, or its ops', are never looked for
+        "        if len(obj) + len(ops) != len(_ROW_TYPES) + 3:",
+        "        if False:",
+        [f"{S}::TestReportSerialization::test_reader_refuses_unknown_content[extra_row_field]",
+         f"{S}::TestReportSerialization::test_reader_refuses_unknown_content[extra_ops_party]",
+         f"{C}::TestReport::test_unknown_content_is_integrity_failure[extra_row_field]"],
     ),
     (
         "simulator.py",  # a report's kind counts need not be what its config allocates

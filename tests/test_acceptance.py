@@ -179,12 +179,12 @@ def test_criterion_5_key_derivation_identity(toy_fixture):
 
     d = TwinSession(toy, toy_fixture["twin"], toy_fixture["record"], ScriptedRng(randranges=[5]))
     d.commit()
-    d.respond(Challenge(4))
-    d.verify_identity(IdentityProof(7, 4))
+    d.receive(Challenge(4))
+    d.receive(IdentityProof(7, 4))
     dk = d.session_key
     p = EntitySession(toy, toy_fixture["keys"], toy_fixture["record"], ScriptedRng(randranges=[2]))
-    ch = p.challenge(Commit(9))
-    p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
+    (ch,) = p.receive(Commit(9))
+    p.receive(Response(schnorr_response(toy, 5, ch.c, 3)))
     pk = p.session_key
     assert dk.k_pd == pk.k_pd
 

@@ -19,6 +19,7 @@ from przkbind.protocol import (
     Phase,
     Reason,
     TwinSession,
+    Verdict,
     identity_check,
     run_interactive_session,
     schnorr_verify,
@@ -131,7 +132,7 @@ class TestKci:
         d = twin(toy_env, 77)
         d.commit()
         d.receive(Challenge(4))
-        d.verify_identity(IdentityProof(7, 4))
+        assert d.receive(IdentityProof(7, 4)) == [Verdict(True)]
         assert d.phase is Phase.KEY_ESTABLISHED
 
     def test_production_kci_never_accepted(self, p256_env):

@@ -643,6 +643,23 @@ class TestReport:
         report_file.write_text(json.dumps(obj))
         assert run("report", "--in", str(report_file)) == (3, "", f"error: malformed report file: aggregate mismatch: {metric}\n")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["aggregates"].update(bogus=1), "unknown key 'bogus' in aggregates"),
+            (lambda obj: obj.update(extra={"a": 1}), "unknown key 'extra' in report"),
+            (lambda obj: obj["sessions"][4].update(note="x"), "unknown key 'note' in session 4"),
+            (lambda obj: obj["sessions"][4]["ops"].update(q={}), "unknown key 'q' in session 4 ops"),
+        ],
+        ids=["extra_aggregate", "extra_block", "extra_row_field", "extra_ops_party"],
+    )
+    def test_unknown_content_is_integrity_failure(self, run, report_file, edit, message):
+        # the reprint would silently drop it, so the file is refused, naming the key
+        obj = json.loads(report_file.read_text())
+        edit(obj)
+        report_file.write_text(json.dumps(obj))
+        assert run("report", "--in", str(report_file)) == (3, "", f"error: malformed report file: {message}\n")
+
     @pytest.mark.parametrize("drop", [0, -1])
     def test_rows_must_be_every_session_of_the_config(self, run, report_file, drop):
         # a dropped row, with the aggregates recomputed to match, still fails
@@ -753,7 +770,8 @@ def report_text():
 @given(data=st.data())
 def test_any_malformed_report_is_one_line_integrity_failure(run, report_text, tmp_path, data):
     # Drop, replace or retype a block or a row; drop or retype a row's field, one of
-    # its op counts or an aggregate; or reorder the rows. A config field is not
+    # its op counts or an aggregate; add an unknown key beside any of them but a row;
+    # or reorder the rows. A config field is not
     # edited: a report's config is read as a config file, where a missing field
     # takes its default and a latency may be one number, and only its sessions,
     # energy weights and the kind counts it allocates are checked against the rows.
@@ -769,9 +787,11 @@ def test_any_malformed_report_is_one_line_integrity_failure(run, report_text, tm
                      "op count": row["ops"][data.draw(st.sampled_from("pd"))], "aggregate": obj["aggregates"]}[where]
         key = data.draw(st.sampled_from(range(len(rows)) if container is rows else sorted(container)))
         old = container[key]
-        actions = ["drop", "retype"] + ["replace"] * (where in ("block", "row"))
+        actions = ["drop", "retype"] + ["replace"] * (where in ("block", "row")) + ["add"] * (container is not rows)
         action = data.draw(st.sampled_from(actions))
-        if action == "drop":
+        if action == "add":
+            container[data.draw(st.text(max_size=4).filter(lambda new: new not in container))] = data.draw(_ANY_JSON)
+        elif action == "drop":
             del container[key]
         elif action == "retype":
             container[key] = data.draw(_ANY_JSON.filter(lambda value: _KINDS[type(value)] != _KINDS[type(old)]))

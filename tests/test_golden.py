@@ -105,14 +105,14 @@ def test_golden_report_digests(config, json_digest, csv_digest):
 def test_derailed_honest_session_raises(monkeypatch):
     # a twin that answers with a wrong z makes the entity reject the proof,
     # so the honest exchange never reaches the identity proof
-    respond = TwinSession.respond
+    respond = TwinSession._respond
 
     def wrong_z(self, ch):
         return Response((respond(self, ch).z + 1) % self.group.q)
 
     cfg = CampaignConfig(sessions=4, group_id="toy", rng_seed=5)
     env = build_env(cfg)
-    monkeypatch.setattr(TwinSession, "respond", wrong_z)
+    monkeypatch.setattr(TwinSession, "_respond", wrong_z)
     with pytest.raises(SimulationError):
         run_session(cfg, HONEST, _spawn_rng(5, "session/0"), env)
     with pytest.raises(SimulationError):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from przkbind.groups import get_group
+from przkbind.groups import GroupError, get_group
 from przkbind.identity import EntityKeys, TwinKeyPair
 from przkbind.registration import Registry
 from przkbind.protocol import (
@@ -24,9 +25,7 @@ from przkbind.protocol import (
     Transcript,
     TwinSession,
     Verdict,
-    VerificationFailure,
     WireError,
-    _Session,
     decode_message,
     encode_message,
     extract_secret,
@@ -192,7 +191,7 @@ class TestTwinSession:
     def test_respond_vector_and_nonce_erasure(self, toy_env):
         d = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d.commit()
-        resp = d.respond(Challenge(4))
+        (resp,) = d.receive(Challenge(4))
         assert resp.z == 6  # 5 + 4*3 mod 11
         assert d.phase is Phase.RESPONSE_SENT
         assert d._nonce is None
@@ -200,31 +199,18 @@ class TestTwinSession:
     def test_zero_challenge_echoes_nonce(self, toy_env):
         d = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d.commit()
-        assert d.respond(Challenge(0)).z == 5
-
-    def test_respond_out_of_phase_raises(self, toy_env):
-        with pytest.raises(SessionError):
-            make_twin(toy_env).respond(Challenge(4))
+        assert d.receive(Challenge(0)) == [Response(5)]
 
     def test_identity_verification_vectors(self, toy_env):
-        d = make_twin(toy_env, ScriptedRng(randranges=[5]))
-        d.commit()
-        d.respond(Challenge(4))
-        assert d.verify_identity(IdentityProof(7, 4)) == Verdict(True)
-        assert d.phase is Phase.KEY_ESTABLISHED
-
-        d2 = make_twin(toy_env, ScriptedRng(randranges=[5]))
-        d2.commit()
-        d2.respond(Challenge(4))
-        with pytest.raises(VerificationFailure):
-            d2.verify_identity(IdentityProof(8, 4))
-        assert d2.phase is Phase.FAILED and d2.failure is Reason.BAD_IDENTITY
-
-        d3 = make_twin(toy_env, ScriptedRng(randranges=[5]))
-        d3.commit()
-        d3.respond(Challenge(4))
-        with pytest.raises(VerificationFailure):
-            d3.verify_identity(IdentityProof(0, 4))
+        # h_sp = 7 passes g^h_sp == pk_p; 8 does not, and a zero h_sp is refused before the equation
+        for h_sp, replies, phase in [(7, [Verdict(True)], Phase.KEY_ESTABLISHED),
+                                     (8, [Verdict(False, Reason.BAD_IDENTITY)], Phase.FAILED),
+                                     (0, [Verdict(False, Reason.BAD_IDENTITY)], Phase.FAILED)]:
+            d = make_twin(toy_env, ScriptedRng(randranges=[5]))
+            d.commit()
+            d.receive(Challenge(4))
+            assert d.receive(IdentityProof(h_sp, 4)) == replies
+            assert d.phase is phase and (d.session_key is None) is (phase is Phase.FAILED)
 
     @pytest.mark.parametrize("env_name, share", [("toy_env", 5), ("p256_env", (1, 2))])
     def test_non_member_share_with_the_true_identity_hash_is_rejected(self, env_name, share, request):
@@ -246,9 +232,9 @@ class TestTwinSession:
 
 class TestEntitySession:
     def test_challenge_deterministic_for_fixed_rng(self, toy_env):
-        c1 = make_entity(toy_env, random.Random(9)).challenge(Commit(9))
-        c2 = make_entity(toy_env, random.Random(9)).challenge(Commit(9))
-        assert c1 == c2
+        c1 = make_entity(toy_env, random.Random(9)).receive(Commit(9))
+        c2 = make_entity(toy_env, random.Random(9)).receive(Commit(9))
+        assert c1 == c2 and type(c1[0]) is Challenge
 
     def test_challenge_binds_zeta(self, toy_env):
         # same commitment and nonce, different binding record -> different c
@@ -259,18 +245,17 @@ class TestEntitySession:
                            ScriptedRng(byte_values=[nonce]))
         p2 = EntitySession(toy_env["group"], toy_env["keys"], other_record,
                            ScriptedRng(byte_values=[nonce]))
-        assert p1.challenge(Commit(9)) != p2.challenge(Commit(9))
+        assert p1.receive(Commit(9)) != p2.receive(Commit(9))
 
     def test_challenge_binds_commitment(self, toy_env):
         nonce = bytes(32)
         p1 = make_entity(toy_env, ScriptedRng(byte_values=[nonce]))
         p2 = make_entity(toy_env, ScriptedRng(byte_values=[nonce]))
-        assert p1.challenge(Commit(9)) != p2.challenge(Commit(4))
+        assert p1.receive(Commit(9)) != p2.receive(Commit(4))
 
     def test_identity_commitment_is_degenerate(self, toy_env):
         p = make_entity(toy_env)
-        with pytest.raises(VerificationFailure):
-            p.challenge(Commit(toy_env["group"].identity))
+        assert p.receive(Commit(toy_env["group"].identity)) == [Verdict(False, Reason.DEGENERATE_COMMITMENT)]
         assert p.phase is Phase.FAILED
         assert p.failure is Reason.DEGENERATE_COMMITMENT
 
@@ -283,27 +268,21 @@ class TestEntitySession:
         assert p.receive(Commit(alpha)) == [Verdict(False, Reason.DEGENERATE_COMMITMENT)]
         assert p.phase is Phase.FAILED and p.failure is Reason.DEGENERATE_COMMITMENT
 
-    def test_challenge_out_of_phase_raises(self, toy_env):
-        p = make_entity(toy_env)
-        p.challenge(Commit(9))
-        with pytest.raises(SessionError):
-            p.challenge(Commit(9))
-
     def test_verify_response_failure_is_terminal(self, toy_env):
         p = make_entity(toy_env)
-        ch = p.challenge(Commit(9))
+        (ch,) = p.receive(Commit(9))
         bad = (schnorr_response(toy_env["group"], 0, ch.c, 999) + 1) % 11
-        with pytest.raises(VerificationFailure):
-            p.verify_response(Response(bad))
+        assert p.receive(Response(bad)) == [Verdict(False, Reason.BAD_PROOF)]
         assert p.phase is Phase.FAILED and p.failure is Reason.BAD_PROOF
+        assert p.receive(Response(bad)) == []
         assert not schnorr_verify(toy_env["group"], toy_env["record"].pk_d, p._alpha, p._c, bad)
 
     def test_identity_proof_with_forced_ephemeral(self, toy_env):
         p = make_entity(toy_env, ScriptedRng(randranges=[2]))
-        ch = p.challenge(Commit(9))
+        (ch,) = p.receive(Commit(9))
         # impersonate the twin honestly: we know r=5, sk_d=3 in the fixture
         z = schnorr_response(toy_env["group"], 5, ch.c, 3)
-        assert p.verify_response(Response(z)) == IdentityProof(7, 4)  # r_p = 2 -> 2^2 = 4
+        assert p.receive(Response(z)) == [IdentityProof(7, 4)]  # r_p = 2 -> 2^2 = 4
         assert schnorr_verify(toy_env["group"], toy_env["record"].pk_d, p._alpha, p._c, z)
         assert p.phase is Phase.KEY_ESTABLISHED
 
@@ -366,13 +345,13 @@ class TestKeyDerivation:
 
         d = make_twin(toy_env, ScriptedRng(randranges=[5]))
         d.commit()
-        d.respond(Challenge(4))
-        d.verify_identity(IdentityProof(7, 4))
+        d.receive(Challenge(4))
+        d.receive(IdentityProof(7, 4))
         dk = d.session_key
 
         p = make_entity(toy_env, ScriptedRng(randranges=[2]))
-        ch = p.challenge(Commit(9))
-        p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
+        (ch,) = p.receive(Commit(9))
+        p.receive(Response(schnorr_response(toy, 5, ch.c, 3)))
         pk = p.session_key
 
         assert dk.k_pd == pk.k_pd
@@ -391,8 +370,8 @@ class TestKeyDerivation:
 
         def run(record):
             p = EntitySession(toy, toy_env["keys"], record, ScriptedRng(randranges=[2]))
-            ch = p.challenge(Commit(9))
-            p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
+            (ch,) = p.receive(Commit(9))
+            p.receive(Response(schnorr_response(toy, 5, ch.c, 3)))
             return p.session_key
 
         assert run(toy_env["record"]).k_pd != run(other_record).k_pd
@@ -402,8 +381,8 @@ class TestKeyDerivation:
 
         def run(r_p):
             p = make_entity(toy_env, ScriptedRng(randranges=[r_p]))
-            ch = p.challenge(Commit(9))
-            p.verify_response(Response(schnorr_response(toy, 5, ch.c, 3)))
+            (ch,) = p.receive(Commit(9))
+            p.receive(Response(schnorr_response(toy, 5, ch.c, 3)))
             return p.session_key
 
         assert run(2).k_pd != run(3).k_pd
@@ -421,12 +400,6 @@ class TestKeyDerivation:
             for b in range(11):
                 same_exponent = (h_sp + a) % 11 == (h_sp + b) % 11
                 assert (points[a] == points[b]) is same_exponent
-
-    def test_key_deriving_steps_out_of_phase(self, toy_env):
-        with pytest.raises(SessionError):
-            make_entity(toy_env).verify_response(Response(0))
-        with pytest.raises(SessionError):
-            make_twin(toy_env).verify_identity(IdentityProof(7, 4))
 
 
 class TestEndToEnd:
@@ -556,7 +529,7 @@ class TestStateMachineSafety:
         assert replies == [Verdict(False, Reason.DEGENERATE_COMMITMENT)]
         d = make_twin(toy_env)
         d.commit()
-        d.respond(Challenge(4))
+        d.receive(Challenge(4))
         replies = d.receive_bytes(b"garbage-bytes")
         assert replies == [Verdict(False, Reason.BAD_IDENTITY)]
 
@@ -582,7 +555,7 @@ class TestStateMachineSafety:
 
 def _challenged_entity(env):
     p = make_entity(env)
-    ch = p.challenge(Commit(9))  # alpha = g^5; a response off by one fails the equation
+    (ch,) = p.receive(Commit(9))  # alpha = g^5; a response off by one fails the equation
     return p, Response((schnorr_response(env["group"], 5, ch.c, env["twin"].sk_d) + 1) % 11)
 
 
@@ -590,7 +563,7 @@ def _responded_twin(proof):
     def setup(env):
         d = make_twin(env, ScriptedRng(randranges=[5]))
         d.commit()
-        d.respond(Challenge(4))
+        d.receive(Challenge(4))
         return d, proof
 
     return setup
@@ -606,32 +579,43 @@ def _committed_twin(env):
 # the step that checks it, the reason).
 REJECTIONS = {
     "degenerate commitment": (
-        lambda env: (make_entity(env), Commit(env["group"].identity)), "challenge", Reason.DEGENERATE_COMMITMENT
+        lambda env: (make_entity(env), Commit(env["group"].identity)), "_challenge", Reason.DEGENERATE_COMMITMENT
     ),
-    "non-member commitment": (lambda env: (make_entity(env), Commit(5)), "challenge", Reason.DEGENERATE_COMMITMENT),
-    "challenge out of range": (_committed_twin, "respond", Reason.OUT_OF_ORDER),
-    "bad proof": (_challenged_entity, "verify_response", Reason.BAD_PROOF),
-    "wrong identity hash": (_responded_twin(IdentityProof(8, 4)), "verify_identity", Reason.BAD_IDENTITY),
-    "zero identity hash": (_responded_twin(IdentityProof(0, 4)), "verify_identity", Reason.BAD_IDENTITY),
-    "non-member share": (_responded_twin(IdentityProof(7, 5)), "verify_identity", Reason.BAD_IDENTITY),
+    "non-member commitment": (lambda env: (make_entity(env), Commit(5)), "_challenge", Reason.DEGENERATE_COMMITMENT),
+    "challenge out of range": (_committed_twin, "_respond", Reason.OUT_OF_ORDER),
+    "bad proof": (_challenged_entity, "_verify_response", Reason.BAD_PROOF),
+    "wrong identity hash": (_responded_twin(IdentityProof(8, 4)), "_verify_identity", Reason.BAD_IDENTITY),
+    "zero identity hash": (_responded_twin(IdentityProof(0, 4)), "_verify_identity", Reason.BAD_IDENTITY),
+    "non-member share": (_responded_twin(IdentityProof(7, 5)), "_verify_identity", Reason.BAD_IDENTITY),
 }
 
 
+def _rng_state(session):
+    """The session rng's stream, and any draws pinned on it that it has not yet handed out."""
+    return session.rng.getstate(), copy.deepcopy(vars(session.rng))
+
+
 @pytest.mark.parametrize("case", list(REJECTIONS))
-def test_every_check_rejects_through_one_path(toy_env, monkeypatch, case):
-    # called directly, the step fails the session and raises through _reject;
-    # fed to receive, the same input gets exactly the reject verdict
+def test_every_check_rejects_through_one_path(toy_env, case):
+    # the phase's AWAITS entry names the step and the one reason; the step declines
+    # before any rng draw, and receive answers exactly the reject verdict, as
+    # receive_bytes answers the message's bytes where the message has an encoding
     setup, step, reason = REJECTIONS[case]
-    rejected = []
-    reject = _Session._reject
-    monkeypatch.setattr(_Session, "_reject", lambda self, *args: rejected.append(args[0]) or reject(self, *args))
-    direct, msg = setup(toy_env)
-    with pytest.raises(VerificationFailure) as raised:
-        getattr(direct, step)(msg)
-    assert raised.value.reason is reason and rejected == [reason]
     received, msg = setup(toy_env)
+    assert received.AWAITS[received.phase] == (type(msg), step, reason)
+    before = _rng_state(received)
     assert received.receive(msg) == [Verdict(False, reason)]
-    for session in (direct, received):
+    assert _rng_state(received) == before
+    sessions = [received]
+    try:
+        raw = encode_message(toy_env["group"], msg)
+    except GroupError:  # a non-member or an out-of-range scalar has no encoding
+        assert case in ("non-member commitment", "challenge out of range", "non-member share")
+    else:
+        wired, _ = setup(toy_env)
+        assert wired.receive_bytes(raw) == [Verdict(False, reason)]
+        sessions.append(wired)
+    for session in sessions:
         assert session.phase is Phase.FAILED and session.failure is reason
         assert session.session_key is None and session._nonce is None
 
@@ -804,14 +788,18 @@ def _fuzz_machines(env, max_depth):
     outcomes = {"p_established": 0, "d_established": 0}
 
     def feed(session, history):
-        """Feed the history's messages; None if a step was called out of phase."""
+        """Feed the history's messages. After each, a failed party holds no key and no
+        nonce, and answered the message that failed it, unless a verdict, with its
+        reject verdict."""
         fed = []
         for symbol in history:
             fed.append(symbol(session))
-            try:
-                session.receive(fed[-1])
-            except SessionError:
-                return None
+            was_failed = session.phase is Phase.FAILED
+            replies = session.receive(fed[-1])
+            if session.phase is Phase.FAILED:
+                assert session.session_key is None and session._nonce is None
+                if not was_failed and not isinstance(fed[-1], Verdict):
+                    assert replies == [Verdict(False, session.failure)]
         return fed
 
     def check_entity(p, fed):
@@ -821,10 +809,7 @@ def _fuzz_machines(env, max_depth):
 
     def walk_entity(history):
         p = EntitySession(toy, env["keys"], env["record"], ScriptedRng(randranges=[2], seed=7))
-        fed = feed(p, history)
-        if fed is None:
-            return
-        check_entity(p, fed)
+        check_entity(p, feed(p, history))
         if p.phase.terminal or len(history) >= max_depth:
             return
         for symbol in p_symbols:
@@ -838,10 +823,7 @@ def _fuzz_machines(env, max_depth):
     def walk_twin(history):
         d = TwinSession(toy, env["twin"], env["record"], ScriptedRng(randranges=[5], seed=8))
         d.commit()
-        fed = feed(d, history)
-        if fed is None:
-            return
-        check_twin(d, fed)
+        check_twin(d, feed(d, history))
         if d.phase.terminal or len(history) >= max_depth:
             return
         for symbol in d_symbols:
@@ -878,11 +860,11 @@ class TestTranscriptSecrecy:
 
         commit = send(d.commit())
         r_nonce = d._nonce
-        ch = send(p.challenge(commit))
-        resp = send(d.respond(ch))
-        proof = send(p.verify_response(resp))
+        ch = send(*p.receive(commit))
+        resp = send(*d.receive(ch))
+        proof = send(*p.receive(resp))
         assert proof.r_p_pub == group.exp(group.g, r_p)
-        send(d.verify_identity(proof))
+        assert send(*d.receive(proof)) == Verdict(True)
         emitted.extend(json.dumps(transcript.to_dict(group)).encode())
 
         secrets = {

@@ -522,6 +522,24 @@ class TestReportSerialization:
         with pytest.raises(ValueError, match=named):
             CampaignReport.from_dict(obj)
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda obj: obj["aggregates"].update(bogus=1), "^unknown key 'bogus' in aggregates$"),
+            (lambda obj: obj.update(extra={}), "^unknown key 'extra' in report$"),
+            (lambda obj: obj["sessions"][3].update(note="x"), "^unknown key 'note' in session 3$"),
+            (lambda obj: obj["sessions"][3]["ops"].update(q={}), "^unknown key 'q' in session 3 ops$"),
+        ],
+        ids=["extra_aggregate", "extra_block", "extra_row_field", "extra_ops_party"],
+    )
+    def test_reader_refuses_unknown_content(self, edit, named):
+        # a reprint is rebuilt from what the reader knows, so it refuses what it does not rather than drop it
+        obj = run_campaign(toy_config()).to_dict()
+        CampaignReport.from_dict(obj)
+        edit(obj)
+        with pytest.raises(ValueError, match=named):
+            CampaignReport.from_dict(obj)
+
     def test_reader_holds_the_recomputed_aggregates(self):
         # the stored aggregates, their keys reordered, still read back to the run's own report bytes
         report = run_campaign(toy_config())
