@@ -51,8 +51,6 @@ from .protocol import (
     decode_message,
     encode_message,
     extract_secret,
-    fiat_shamir_prove,
-    fiat_shamir_verify,
     pump,
     run_interactive_session,
     schnorr_response,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import click
 
-from .groups import GroupError, get_group
+from .groups import _GROUPS, GroupError, get_group
 from .identity import (
     PhysicalIdentity,
     TwinKeyPair,
@@ -29,8 +29,6 @@ from .protocol import (
     ProtocolError,
     Transcript,
     TwinSession,
-    fiat_shamir_prove,
-    fiat_shamir_verify,
     pump,
 )
 from .registration import (
@@ -84,7 +82,8 @@ def cli() -> None:
 
 @cli.command()
 @click.option("--seed", required=True, help="Provisioning seed; fixed seed, fixed keys.")
-@click.option("--group", "group_id", default="p256", show_default=True, help="Group backend (toy or p256).")
+@click.option("--group", "group_id", type=click.Choice(list(_GROUPS), case_sensitive=False), default="p256",
+              show_default=True, help="Group backend.")
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False, path_type=Path))
 def keygen(seed: str, group_id: str, out_dir: Path) -> None:
     """Provision the entity identity and the twin key pair into key files."""
@@ -135,8 +134,7 @@ def register(entity_pub: Path, twin_pub: Path, registry_path: Path, timestamp: i
 @click.option("--twin-key", required=True, type=click.Path(exists=True, path_type=Path))
 @click.option("--registry", "registry_path", required=True, type=click.Path(exists=True, path_type=Path))
 @click.option("--seed", default="authenticate", show_default=True, help="Session randomness seed.")
-@click.option("--fiat-shamir", is_flag=True, help="Run the non-interactive proof instead.")
-def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: str, fiat_shamir: bool) -> None:
+def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: str) -> None:
     """Run one local authentication session and print its transcript."""
     entity_obj = _load_key_file(entity_key, "s_p", "source")
     twin_obj = _load_key_file(twin_key, "sk_d")
@@ -152,16 +150,6 @@ def authenticate(entity_key: Path, twin_key: Path, registry_path: Path, seed: st
     record = registry.get(keys.pk_p, twin.pk_d)
     if record is None:
         raise IntegrityFailure("no binding record for this key pair in the registry")
-
-    if fiat_shamir:
-        alpha, z = fiat_shamir_prove(group, twin.sk_d, record.zeta, twin.pk_d, _spawn_rng(seed, "fs"))
-        ok = fiat_shamir_verify(group, twin.pk_d, record.zeta, alpha, z)
-        click.echo(f"proof alpha={group.encode(alpha).hex()}")
-        click.echo(f"proof z={group.encode_scalar(z).hex()}")
-        click.echo(f"verified: {ok}")
-        if not ok:
-            raise IntegrityFailure("non-interactive proof rejected")
-        return
 
     p = EntitySession(group, keys, record, _spawn_rng(seed, "entity"))
     d = TwinSession(group, twin, record, _spawn_rng(seed, "twin"))

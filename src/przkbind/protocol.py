@@ -46,7 +46,6 @@ from .groups import (
     hash_h1_bytes,
     hash_to_scalar,
     scalar_inv,
-    scalar_random,
     scalar_random_nonzero,
 )
 from .identity import EntityKeys, TwinKeyPair
@@ -260,8 +259,10 @@ def identity_check(group: Group, pk_p: Element, h_sp: int, ops: Optional[OpCount
 class Transcript:
     """The public view of one session: the values of its messages.
 
-    Holds only values an eavesdropper sees; never ephemeral secrets,
-    secret keys, or the identity secret.
+    Holds only values an eavesdropper sees: never an ephemeral secret, a
+    session key, ``s_p`` or ``sk_d``. It does hold ``h_sp``, the discrete
+    log of ``pk_p``, because the identity proof sends it in the clear; a
+    reader of one transcript can answer as the entity (ROADMAP item 2).
     """
 
     alpha: Optional[Element] = None
@@ -496,35 +497,6 @@ def run_interactive_session(entity: EntitySession, twin: TwinSession) -> Transcr
 
     pump(entity, twin, hop)
     return transcript
-
-
-# -- non-interactive mode ----------------------------------------------------
-
-
-def fiat_shamir_prove(
-    group: Group, sk_d: int, zeta: bytes, pk_d: Element, rng
-) -> Tuple[Element, int]:
-    """Produce a non-interactive proof (alpha, z) with the challenge
-    derived locally from (alpha, zeta, pk_d)."""
-    r = scalar_random(group, rng)
-    alpha = group.exp(group.g, r)
-    c = hash_to_scalar(group, group.encode(alpha), zeta, group.encode(pk_d))
-    return alpha, schnorr_response(group, r, c, sk_d)
-
-
-def fiat_shamir_verify(group: Group, pk_d: Element, zeta: bytes, alpha: Element, z: int) -> bool:
-    """Recompute the local challenge and check the verification equation.
-
-    Unlike the interactive challenger, this accepts an identity-element
-    commitment: the zero nonce is a valid (if wasteful) prover choice and
-    completeness holds for every nonce.
-    """
-    if not group.is_member(alpha):
-        return False
-    if not group.is_member(pk_d) or pk_d == group.identity:
-        return False
-    c = hash_to_scalar(group, group.encode(alpha), zeta, group.encode(pk_d))
-    return schnorr_verify(group, pk_d, alpha, c, z)
 
 
 def extract_secret(group: Group, t1: Transcript, t2: Transcript) -> int:

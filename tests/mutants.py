@@ -124,13 +124,6 @@ MUTANTS = [
          f"{ONE_PATH}[non-member commitment]"],
     ),
     (
-        "protocol.py",  # fiat_shamir_verify without is_member(alpha)
-        "    if not group.is_member(alpha):\n        return False\n",
-        "",
-        [f"{P}::TestFiatShamir::test_non_member_commitment_rejected",
-         f"{P}::TestFiatShamir::test_every_toy_non_member_commitment_rejected"],
-    ),
-    (
         "simulator.py",  # a config keeps its integer bounds and weights: a report then depends on how it was made
         "    return float(value)\n",
         "    return value\n",

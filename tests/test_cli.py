@@ -118,9 +118,17 @@ class TestKeygen:
         assert code == 1
         assert "--seed" in err
 
-    def test_bad_group_is_runtime_error(self, run):
-        code, _, _ = run("keygen", "--seed", "s", "--group", "ed448", "--out", "x")
-        assert code == 2
+    def test_bad_group_is_usage_error(self, run):
+        code, _, err = run("keygen", "--seed", "s", "--group", "ed448", "--out", "x")
+        assert code == 1
+        assert "--group" in err
+        assert "Traceback" not in err
+
+    def test_group_id_is_case_insensitive(self, run, tmp_path):
+        assert run("keygen", "--seed", "s1", "--group", "P256", "--out", "upper")[0] == 0
+        assert run("keygen", "--seed", "s1", "--group", "p256", "--out", "lower")[0] == 0
+        for name in ("entity.key.json", "twin.pub.json"):
+            assert (tmp_path / "upper" / name).read_bytes() == (tmp_path / "lower" / name).read_bytes()
 
 
 class TestRegister:
@@ -209,16 +217,13 @@ class TestAuthenticate:
         assert s_p not in out + err
         assert f'"{sk_d}"' not in out + err
 
-    def test_fiat_shamir_mode(self, run, keyfiles):
-        code, out, _ = run(
-            "authenticate",
-            "--entity-key", "keys/entity.key.json",
-            "--twin-key", "keys/twin.key.json",
-            "--registry", "registry.ndjson",
-            "--fiat-shamir",
-        )
-        assert code == 0
-        assert "verified: True" in out
+    def test_removed_non_interactive_flag_is_usage_error(self, run, keyfiles):
+        # no non-interactive mode: a challenge without a session nonce lets a recorded proof replay
+        removed = "--fiat-shamir"
+        code, out, err = run(*_AUTHENTICATE, removed)
+        assert code == 1
+        assert removed in err
+        assert out == ""
 
     def test_tampered_registry_is_integrity_failure(self, run, keyfiles):
         path = keyfiles / "registry.ndjson"

@@ -29,8 +29,6 @@ from przkbind.protocol import (
     decode_message,
     encode_message,
     extract_secret,
-    fiat_shamir_prove,
-    fiat_shamir_verify,
     identity_check,
     pump,
     run_interactive_session,
@@ -875,58 +873,6 @@ class TestTranscriptSecrecy:
         }
         for label, secret in secrets.items():
             assert secret not in bytes(emitted), f"{label} leaked into emitted bytes"
-
-
-# -- non-interactive mode -------------------------------------------------------
-
-
-class TestFiatShamir:
-    def test_honest_proof_verifies(self, toy_env, p256_env):
-        for env in (toy_env, p256_env):
-            group = env["group"]
-            alpha, z = fiat_shamir_prove(
-                group, env["twin"].sk_d, env["record"].zeta, env["twin"].pk_d, random.Random(6)
-            )
-            assert fiat_shamir_verify(group, env["twin"].pk_d, env["record"].zeta, alpha, z)
-
-    def test_proof_does_not_transplant_to_other_key(self, toy_env):
-        # fixed vector: the challenge binds the key, so moving the proof to
-        # pk' = g^2 changes the recomputed challenge and breaks the equation
-        # (at toy scale a different pk' can collide by chance; this one cannot)
-        toy = toy_env["group"]
-        alpha, z = fiat_shamir_prove(toy, 3, toy_env["record"].zeta, 8, random.Random(6))
-        other_pk = toy.exp(toy.g, 2)
-        assert not fiat_shamir_verify(toy, other_pk, toy_env["record"].zeta, alpha, z)
-
-    def test_tampered_proof_rejected(self, toy_env):
-        toy = toy_env["group"]
-        alpha, z = fiat_shamir_prove(toy, 3, toy_env["record"].zeta, 8, random.Random(6))
-        assert not fiat_shamir_verify(toy, 8, toy_env["record"].zeta, alpha, (z + 1) % 11)
-
-    def test_exhaustive_over_all_nonces(self, toy_env):
-        # every nonce (forced through the rng) yields a verifying proof
-        toy = toy_env["group"]
-        for r in range(11):
-            alpha, z = fiat_shamir_prove(
-                toy, 3, toy_env["record"].zeta, 8, ScriptedRng(randranges=[r])
-            )
-            assert fiat_shamir_verify(toy, 8, toy_env["record"].zeta, alpha, z)
-
-    def test_identity_public_key_rejected(self, toy_env):
-        toy = toy_env["group"]
-        assert not fiat_shamir_verify(toy, toy.identity, toy_env["record"].zeta, 9, 5)
-
-    @pytest.mark.parametrize("env_name, alpha", [("toy_env", 5), ("p256_env", (1, 2))])
-    def test_non_member_commitment_rejected(self, env_name, alpha, request):
-        env = request.getfixturevalue(env_name)
-        assert fiat_shamir_verify(env["group"], env["twin"].pk_d, env["record"].zeta, alpha, 1) is False
-
-    def test_every_toy_non_member_commitment_rejected(self, toy_env):
-        # each residue outside the order-11 subgroup, and a value of another type, is a False, never an error
-        toy = toy_env["group"]
-        outside = [x for x in range(-1, 24) if not toy.is_member(x)] + [None, (1, 2), b"\x09"]
-        for alpha in outside:
-            assert fiat_shamir_verify(toy, toy_env["twin"].pk_d, toy_env["record"].zeta, alpha, 1) is False
 
 
 class TestExtraction:
