@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from przkbind.groups import GroupError, get_group
+from przkbind.groups import GroupError, get_group, hash_to_scalar
 from przkbind.identity import EntityKeys, TwinKeyPair
 from przkbind.registration import Registry
 from przkbind.protocol import (
@@ -132,6 +132,12 @@ class TestSchnorrRelations:
     def test_wrong_response_rejected(self, toy):
         assert not schnorr_verify(toy, 8, 9, 4, 7)
 
+    def test_proof_does_not_transplant_to_other_key(self, toy):
+        # the accepting vector above, moved to pk' = g^2 = 4: 9 * 4^4 = 4 != g^6 = 18 (mod 23)
+        assert toy.exp(toy.g, 2) == 4 and 9 * pow(4, 4, 23) % 23 == 4
+        assert schnorr_verify(toy, 8, 9, 4, 6)
+        assert not schnorr_verify(toy, 4, 9, 4, 6)
+
     def test_zero_challenge_verifies_commitment_alone(self, toy):
         for pk_d in (8, 4, 16):
             assert schnorr_verify(toy, pk_d, 9, 0, 5)  # g^5 = 9 = alpha
@@ -245,6 +251,19 @@ class TestEntitySession:
                            ScriptedRng(byte_values=[nonce]))
         assert p1.receive(Commit(9)) != p2.receive(Commit(9))
 
+    @pytest.mark.parametrize("env_name", ["toy_env", "p256_env"])
+    def test_challenge_binds_session_nonce(self, env_name, request):
+        # same commitment and binding record, a different fresh nonce -> a different c,
+        # so a proof recorded in one session answers no later one (barring a collision)
+        env = request.getfixturevalue(env_name)
+        group = env["group"]
+        alpha = group.exp(group.g, 5)
+        nonces = [bytes(32), b"\x01" * 32]
+        challenges = [make_entity(env, ScriptedRng(byte_values=[n])).receive(Commit(alpha)) for n in nonces]
+        assert challenges == [[Challenge(hash_to_scalar(group, group.encode(alpha), env["record"].zeta, n))]
+                              for n in nonces]
+        assert challenges[0] != challenges[1]
+
     def test_challenge_binds_commitment(self, toy_env):
         nonce = bytes(32)
         p1 = make_entity(toy_env, ScriptedRng(byte_values=[nonce]))
@@ -265,6 +284,16 @@ class TestEntitySession:
         p = make_entity(env)
         assert p.receive(Commit(alpha)) == [Verdict(False, Reason.DEGENERATE_COMMITMENT)]
         assert p.phase is Phase.FAILED and p.failure is Reason.DEGENERATE_COMMITMENT
+
+    def test_every_toy_non_member_commitment_is_degenerate(self, toy_env):
+        # each residue outside the order-11 subgroup, and a value of another type, fails the session, never raises
+        toy = toy_env["group"]
+        outside = [x for x in range(-1, 24) if not toy.is_member(x)] + [None, (1, 2), b"\x09"]
+        assert len(outside) == 14 + 3
+        for alpha in outside:
+            p = make_entity(toy_env)
+            assert p.receive(Commit(alpha)) == [Verdict(False, Reason.DEGENERATE_COMMITMENT)]
+            assert p.phase is Phase.FAILED
 
     def test_verify_response_failure_is_terminal(self, toy_env):
         p = make_entity(toy_env)
@@ -413,6 +442,24 @@ class TestEndToEnd:
         assert transcript.alpha is not None and transcript.r_p_pub is not None
         assert transcript.h_sp == env["keys"].h_sp
         assert d._nonce is None
+
+    @pytest.mark.parametrize("env_name", ["toy_env", "p256_env"])
+    def test_recorded_proof_fails_a_later_session(self, env_name, request):
+        # replaying an honest session's (alpha, z) passes only when the fresh challenge repeats the recorded one
+        env = request.getfixturevalue(env_name)
+        recorded = run_interactive_session(make_entity(env), make_twin(env))
+        outcomes = set()
+        for seed in range(60 if env_name == "toy_env" else 5):
+            p = make_entity(env, random.Random(1_000 + seed))
+            (ch,) = p.receive(Commit(recorded.alpha))
+            (reply,) = p.receive(Response(recorded.z))
+            if ch.c == recorded.c:
+                assert type(reply) is IdentityProof
+            else:
+                assert reply == Verdict(False, Reason.BAD_PROOF) and p.session_key is None
+            outcomes.add(ch.c == recorded.c)
+        # the toy's 11 challenges collide within 60 sessions; P-256's never do
+        assert outcomes == ({True, False} if env_name == "toy_env" else {False})
 
     def test_key_agreement_over_many_toy_sessions(self, toy_env):
         for seed in range(100):
